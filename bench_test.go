@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -390,6 +391,60 @@ func BenchmarkSATSolverPigeonhole(b *testing.B) {
 			b.Fatal("PHP(8,7) must be UNSAT")
 		}
 	}
+}
+
+// benchHDPrefix freezes a FALL-sized Hamming-distance prefix: two
+// copies of a cube-stripper candidate's cone from the ablation
+// instance, their pairwise difference literals and the HD = 2h
+// cardinality constraint — the instance SlidingWindow and Distance2H
+// fork per grid cell.
+func benchHDPrefix(b *testing.B) *sat.Frozen {
+	const h = 4
+	lr := ablationCase(b, h)
+	seen := map[int]bool{}
+	var compX []int
+	for _, cp := range fall.FindComparators(lr.Locked) {
+		if !seen[cp.Input] {
+			seen[cp.Input] = true
+			compX = append(compX, cp.Input)
+		}
+	}
+	sort.Ints(compX)
+	cands := fall.SupportMatch(lr.Locked, compX)
+	if len(cands) == 0 {
+		b.Fatal("no stripper candidate")
+	}
+	cone, _ := lr.Locked.Cone(cands[len(cands)-1])
+	ins := cone.Inputs()
+	st := sat.NewStream()
+	e := cnf.NewEncoder(st)
+	lits1 := e.EncodeCircuitWith(cone, nil)
+	lits2 := e.EncodeCircuitWith(cone, nil)
+	ds := e.XorPairs(cnf.InputLits(ins, lits1), cnf.InputLits(ins, lits2))
+	e.ExactlyK(ds, 2*h, cnf.AdderTree)
+	return st.Freeze()
+}
+
+// BenchmarkSolverLoadFrozen compares the two ways a fresh internal
+// solver takes a frozen prefix: replaying it clause by clause, and the
+// native LoadFrozen copy of the prefix's cached image (built once,
+// before the timer).
+func BenchmarkSolverLoadFrozen(b *testing.B) {
+	frozen := benchHDPrefix(b)
+	b.Run("replay", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			frozen.Replay(sat.New())
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		sat.New().LoadFrozen(frozen) // build the image
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sat.New().LoadFrozen(frozen)
+		}
+	})
 }
 
 // BenchmarkStrash measures AIG structural hashing on a Table I-scale

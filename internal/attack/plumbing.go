@@ -89,10 +89,12 @@ func NewEngine(ctx context.Context, f SolverFactory) sat.Engine {
 
 // NewEngineOn builds an engine through NewEngine and primes it with a
 // frozen clause-stream prefix (sat.Prime; a nil frozen is a no-op).
-// Priming is O(1) for sat.FrozenLoader engines — persistent process
-// sessions, the memo engine, portfolios of either — and an exact
-// replay otherwise, so the primed engine is state-identical to one
-// that encoded the prefix directly.
+// Every sat.FrozenLoader loads the prefix without re-adding it clause
+// by clause: the internal solver copies the prefix's cached replay
+// image, persistent process engines upload it once per hash, and the
+// memo engine and portfolios record or forward it. Other engines get
+// an exact replay. Either way the primed engine is state-identical to
+// one that encoded the prefix directly.
 func NewEngineOn(ctx context.Context, f SolverFactory, frozen *sat.Frozen) sat.Engine {
 	e := NewEngine(ctx, f)
 	sat.Prime(e, frozen)

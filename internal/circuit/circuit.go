@@ -12,7 +12,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -366,24 +365,31 @@ func (c *Circuit) EvalOutputs(inputs map[int]bool) []bool {
 }
 
 // TFC returns the transitive fanin cone of root (including root itself) as
-// a sorted list of node ids.
+// a sorted list of node ids. Fanins precede their gates, so the cone
+// lies within ids 0..root: a visited flag per id, collected in id
+// order, yields the sorted list directly.
 func (c *Circuit) TFC(root int) []int {
-	seen := make(map[int]bool)
+	seen := make([]bool, root+1)
+	seen[root] = true
 	stack := []int{root}
+	n := 1
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
+		for _, f := range c.Nodes[v].Fanins {
+			if !seen[f] {
+				seen[f] = true
+				n++
+				stack = append(stack, f)
+			}
 		}
-		seen[v] = true
-		stack = append(stack, c.Nodes[v].Fanins...)
 	}
-	ids := make([]int, 0, len(seen))
-	for v := range seen {
-		ids = append(ids, v)
+	ids := make([]int, 0, n)
+	for v, in := range seen {
+		if in {
+			ids = append(ids, v)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 

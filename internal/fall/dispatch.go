@@ -1,7 +1,6 @@
 package fall
 
 import (
-	"math/bits"
 	"runtime"
 	"sort"
 
@@ -18,82 +17,50 @@ import (
 // candidate order, so the shortlist stays byte-identical to a serial
 // run for every worker count.
 
-// cellEstimate estimates the relative runtime of one candidate's grid
-// cells. The deterministic drivers, cheapest to probe:
+// cost estimates the relative runtime of one of the candidate's grid
+// cells from the probe's measurements. The deterministic cost factors,
+// cheapest to probe:
 //
 //   - cone size: every SAT query Tseitin-encodes the cone (twice for
 //     the HD instances), and UNSAT lemma proofs grow with it;
-//   - a 256-pattern on-set density probe, the same signal (and the
-//     same shared threshold/RNG, see densityThreshold/densityRNG) the
-//     density pre-filter applies on 16384 patterns: cells the filter
-//     will reject are near-free (one simulation sweep, no SAT), while
+//   - a 256-pattern on-set density probe (dense, see sampleDensity),
+//     the same signal the density pre-filter applies on 16384
+//     patterns: cells the filter rejects are near-free (no SAT), while
 //     cells that pass it run the full analysis plus the
 //     equivalence-check UNSAT proof. With the filter disabled
 //     (ablation) the relation inverts — dense parity-like cells are
 //     precisely the ones whose lemma proofs blow up, so they cost the
 //     most.
-type cellEstimate struct {
-	coneLen int
-	// dense[0]/dense[1] report the positive/negated polarity probe
-	// exceeding the stripper-density threshold.
-	dense [2]bool
-}
-
-// estimateCandidate probes one candidate node; a pure function of the
-// cone, never of run order.
-func estimateCandidate(c *circuit.Circuit, cand, h int) cellEstimate {
-	cone, _ := c.Cone(cand)
-	ins := cone.Inputs()
-	m := len(ins)
-	est := cellEstimate{coneLen: cone.Len()}
-	if m == 0 {
-		return est
-	}
-	const words = 4 // 256 patterns: a probe, not the filter itself
-	n := float64(words * 64)
-	threshold := densityThreshold(n, m, h)
-	rng := densityRNG(cone.Len(), m)
-	vals := make([]uint64, cone.Len())
-	var on float64
-	for w := 0; w < words; w++ {
-		for _, in := range ins {
-			vals[in] = rng.Uint64()
-		}
-		cone.Simulate(vals)
-		on += float64(bits.OnesCount64(vals[cone.Outputs[0]]))
-	}
-	est.dense[0] = on > threshold
-	est.dense[1] = n-on > threshold
-	return est
-}
-
-func (e cellEstimate) cost(neg bool, h int, filterEnabled bool) int64 {
+func (p *candPrefixes) cost(neg bool, h int, filterEnabled bool) int64 {
 	pol := 0
 	if neg {
 		pol = 1
 	}
-	full := int64(e.coneLen) * int64(2+h)
-	if !e.dense[pol] {
+	coneLen := p.cone.Len()
+	full := int64(coneLen) * int64(2+h)
+	if !p.dense[pol] {
 		// Stripper-like density: survives the filter, runs the full
 		// analysis and the equivalence-check UNSAT proof.
 		return full
 	}
 	if filterEnabled {
-		// The density filter will reject this cell after one cheap
-		// simulation sweep.
-		return 1 + int64(e.coneLen)/64
+		// The density filter rejects this cell; its simulation sweep
+		// already ran in the probe.
+		return 1 + int64(coneLen)/64
 	}
 	// Filter disabled (ablation): dense parity-like cells are the ones
 	// whose UNSAT lemma proofs explode.
 	return 8 * full
 }
 
-// gridDispatchOrder returns the indices of jobs sorted
-// longest-expected-first, ties broken by job index so the order is
-// deterministic. Candidates are probed once (not once per polarity
-// cell), on the same worker pool the grid itself will use, so the
-// probe adds no serial prefix before the first cell dispatches.
-func gridDispatchOrder(c *circuit.Circuit, jobs []analysisJob, opts *Options) []int {
+// gridDispatchOrder probes every candidate of the grid once — the
+// candidate's cone, inputs and density verdicts, kept in the returned
+// per-candidate state that both polarity cells then share — and
+// returns the indices of jobs sorted longest-expected-first, ties
+// broken by job index so the order is deterministic. The probes run on
+// the same worker pool the grid itself will use, so they add no serial
+// prefix before the first cell dispatches.
+func gridDispatchOrder(c *circuit.Circuit, jobs []analysisJob, opts *Options) ([]int, map[int]*candPrefixes) {
 	var cands []int
 	seen := map[int]bool{}
 	for _, j := range jobs {
@@ -106,18 +73,21 @@ func gridDispatchOrder(c *circuit.Circuit, jobs []analysisJob, opts *Options) []
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	estimates := make([]cellEstimate, len(cands))
+	filter := !opts.DisableDensityFilter
+	probed := make([]*candPrefixes, len(cands))
 	attack.ForEachIndexed(workers, len(cands), func(i int) bool {
-		estimates[i] = estimateCandidate(c, cands[i], opts.H)
+		p := newCandPrefixes(c, cands[i])
+		p.sampleDensity(opts.H, filter)
+		probed[i] = p
 		return true
 	})
-	est := make(map[int]cellEstimate, len(cands))
+	pres := make(map[int]*candPrefixes, len(cands))
 	for i, cand := range cands {
-		est[cand] = estimates[i]
+		pres[cand] = probed[i]
 	}
 	cost := make([]int64, len(jobs))
 	for i, j := range jobs {
-		cost[i] = est[j.cand].cost(j.neg, opts.H, !opts.DisableDensityFilter)
+		cost[i] = pres[j.cand].cost(j.neg, opts.H, filter)
 	}
 	order := make([]int, len(jobs))
 	for i := range order {
@@ -129,5 +99,5 @@ func gridDispatchOrder(c *circuit.Circuit, jobs []analysisJob, opts *Options) []
 		}
 		return order[a] < order[b]
 	})
-	return order
+	return order, pres
 }

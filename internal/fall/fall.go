@@ -104,7 +104,7 @@ type Options struct {
 	// stripper's support but are parity-like and make the SAT lemma
 	// checks exponentially hard. The margin is wide enough that
 	// rejecting a true stripper has negligible probability (see
-	// densityFilter).
+	// densityThreshold).
 	DisableDensityFilter bool
 	// Workers bounds how many candidate×polarity analyses run
 	// concurrently; <= 0 means runtime.GOMAXPROCS(0). Each worker owns
@@ -341,10 +341,9 @@ type analysisContext struct {
 	neg      bool        // analyze the complement of the cone function
 	opts     *Options
 
-	// pre caches the candidate's frozen clause-stream prefixes; the grid
-	// shares one candPrefixes between the two polarity cells of a
-	// candidate, and a directly-constructed context creates its own
-	// lazily (prefixes).
+	// pre is the candidate's shared state (cone, density verdicts,
+	// frozen clause-stream prefixes); the grid shares one candPrefixes
+	// between the two polarity cells of a candidate.
 	pre *candPrefixes
 	// unateEng is the cell's single engine for all checkUnate queries,
 	// created lazily over unatePre's frozen prefix.
@@ -352,15 +351,14 @@ type analysisContext struct {
 	unatePre *unatePrefix
 }
 
+// newAnalysisContext builds a standalone analysis context for one
+// polarity of candidate node, outside the grid.
 func newAnalysisContext(ctx context.Context, c *circuit.Circuit, node int, neg bool, opts *Options) (*analysisContext, error) {
-	cone, im := c.Cone(node)
-	ins := cone.Inputs()
-	for _, id := range ins {
-		if cone.Nodes[id].IsKey {
-			return nil, fmt.Errorf("fall: candidate node %d depends on a key input", node)
-		}
+	p := newCandPrefixes(c, node)
+	if p.keyDep {
+		return nil, fmt.Errorf("fall: candidate node %d depends on a key input", node)
 	}
-	return &analysisContext{ctx: ctx, cone: cone, inputMap: im, inputs: ins, neg: neg, opts: opts}, nil
+	return p.analysis(ctx, neg, opts), nil
 }
 
 // stripperLog2Density returns log2(C(m,h)/2^m), the on-set density of
@@ -375,62 +373,27 @@ func stripperLog2Density(m, h int) float64 {
 
 // densityThreshold returns the accept threshold for n sampled patterns:
 // 16x the stripper's expected on-count plus an additive slack (64 at
-// the filter's 16384 patterns, scaled for smaller probes). Shared by
-// densityFilter and the dispatch cost probe so the two never disagree
-// about what the filter will reject.
+// the filter's 16384 patterns, scaled for the dispatch probe's 256).
+//
+// The density pre-filter checks that the analyzed function's sampled
+// on-set density is consistent with a cube stripper. strip_h has
+// exactly C(m,h) on-minterms out of 2^m; nodes like adder sum bits
+// share the stripper's support but sit near 50% density and are
+// precisely the candidates whose UNSAT lemma proofs blow up. The
+// filter samples 16384 random patterns and keeps the candidate unless
+// its on-count exceeds 16*expected + 64 — a margin so far above the
+// stripper's concentration (Chernoff tail < 2^-50) that the filter is
+// sound in practice. The filter and the probe run in one pass,
+// candPrefixes.sampleDensity.
 func densityThreshold(n float64, m, h int) float64 {
 	return 16*n*math.Exp2(stripperLog2Density(m, h)) + 64*n/16384
 }
 
 // densityRNG returns the deterministic pattern source for density
 // sampling over a cone: a pure function of the cone, never of run
-// order, and likewise shared by the filter and the dispatch probe.
+// order, shared by the filter and the dispatch probe.
 func densityRNG(coneLen, m int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(coneLen)*2654435761 + int64(m)))
-}
-
-// densityFilter reports whether the analyzed function's sampled on-set
-// density is consistent with a cube stripper. strip_h has exactly
-// C(m,h) on-minterms out of 2^m; nodes like adder sum bits share the
-// stripper's support but sit near 50% density and are precisely the
-// candidates whose UNSAT lemma proofs blow up. We sample 16384 random
-// patterns and keep the candidate unless its on-count exceeds
-// 16*expected + 64 — a margin so far above the stripper's concentration
-// (Chernoff tail < 2^-50) that the filter is sound in practice.
-func (a *analysisContext) densityFilter(h int) bool {
-	if a.opts.DisableDensityFilter {
-		return true
-	}
-	m := len(a.inputs)
-	const words = 256 // 16384 patterns
-	threshold := densityThreshold(float64(words*64), m, h)
-	rng := densityRNG(a.cone.Len(), m)
-	vals := make([]uint64, a.cone.Len())
-	count := 0.0
-	for w := 0; w < words; w++ {
-		for _, in := range a.inputs {
-			vals[in] = rng.Uint64()
-		}
-		a.cone.Simulate(vals)
-		out := vals[a.cone.Outputs[0]]
-		if a.neg {
-			out = ^out
-		}
-		count += float64(bits.OnesCount64(out))
-		if count > threshold {
-			return false
-		}
-	}
-	return true
-}
-
-// prefixes returns the candidate's prefix cache, creating a private
-// one when the context was built outside the grid.
-func (a *analysisContext) prefixes() *candPrefixes {
-	if a.pre == nil {
-		a.pre = &candPrefixes{}
-	}
-	return a.pre
 }
 
 func (a *analysisContext) expired() bool {
@@ -519,7 +482,7 @@ func (a *analysisContext) checkUnate(i int, positive, knownViolated bool) (bool,
 		return false, nil
 	}
 	if a.unateEng == nil {
-		a.unatePre = a.prefixes().unateFor(a)
+		a.unatePre = a.pre.unateFor(a)
 		a.unateEng = attack.NewEngineOn(a.ctx, a.opts.Solver, a.unatePre.frozen)
 	}
 	p := a.unatePre
@@ -557,7 +520,7 @@ func (a *analysisContext) checkUnate(i int, positive, knownViolated bool) (bool,
 // analyses — and only the polarity's output units are added here as
 // the cell's delta.
 func (a *analysisContext) hdInstance(h int) (sat.Engine, []sat.Lit, []sat.Lit, []sat.Lit) {
-	p := a.prefixes().hdFor(a, h)
+	p := a.pre.hdFor(a, h)
 	s := attack.NewEngineOn(a.ctx, a.opts.Solver, p.frozen)
 	f1, f2 := p.f1, p.f2
 	if a.neg {
@@ -676,7 +639,7 @@ func (a *analysisContext) Distance2HAnalysis(h int) (map[int]bool, bool, error) 
 // miter between the cone and a reference Hamming-distance comparator. The
 // lemmas are necessary conditions only; this check makes them sufficient.
 func (a *analysisContext) EquivalenceCheck(cube map[int]bool, h int) (bool, error) {
-	p := a.prefixes().coneFor(a)
+	p := a.pre.coneFor(a)
 	s := attack.NewEngineOn(a.ctx, a.opts.Solver, p.frozen)
 	e := p.enc.ForkOnto(s)
 	f := p.f
@@ -826,15 +789,10 @@ func runAnalysisGrid(ctx context.Context, locked *circuit.Circuit, jobs []analys
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// One prefix cache per candidate: the two polarity cells fork the
-	// same frozen encodings instead of re-encoding the cone.
-	pres := make(map[int]*candPrefixes, len(jobs))
-	for _, j := range jobs {
-		if pres[j.cand] == nil {
-			pres[j.cand] = &candPrefixes{}
-		}
-	}
-	order := gridDispatchOrder(locked, jobs, opts)
+	// One shared state per candidate: the two polarity cells reuse the
+	// probe's cone and density verdicts and fork the same frozen
+	// encodings instead of re-encoding the cone.
+	order, pres := gridDispatchOrder(locked, jobs, opts)
 	attack.ForEachIndexed(workers, len(jobs), func(j int) bool {
 		i := order[j]
 		outcomes[i] = analyzeCell(ctx, locked, jobs[i], m, opts, pairing, pres[jobs[i].cand])
@@ -864,23 +822,26 @@ func analyzeCell(ctx context.Context, locked *circuit.Circuit, job analysisJob, 
 	return oc
 }
 
-// analyzeCellInner runs the density filter, the selected functional
-// analysis and the equivalence check for one candidate×polarity cell.
-// All solver state is created here, per cell, so cells never share
-// solvers; only the immutable frozen prefixes in pre are shared
-// across cells.
+// analyzeCellInner applies the density filter's verdict, then runs
+// the selected functional analysis and the equivalence check for one
+// candidate×polarity cell. All solver state is created here, per cell,
+// so cells never share solvers; only the candidate's immutable cone
+// and frozen prefixes in pre are shared across cells.
 func analyzeCellInner(ctx context.Context, locked *circuit.Circuit, job analysisJob, m int, opts *Options, pairing map[int]pairEntry, pre *candPrefixes) analysisOutcome {
 	if ctx.Err() != nil {
 		return analysisOutcome{err: ErrTimeout}
 	}
-	actx, err := newAnalysisContext(ctx, locked, job.cand, job.neg, opts)
-	if err != nil {
+	if pre.keyDep {
 		return analysisOutcome{} // key-dependent candidate: not a stripper
 	}
-	actx.pre = pre
-	if !actx.densityFilter(opts.H) {
+	pol := 0
+	if job.neg {
+		pol = 1
+	}
+	if !pre.pass[pol] {
 		return analysisOutcome{}
 	}
+	actx := pre.analysis(ctx, job.neg, opts)
 	cube, ok, algo, err := runAnalysis(actx, m, *opts)
 	if err != nil {
 		return analysisOutcome{err: err}

@@ -87,8 +87,8 @@ func TestGridDispatchOrderDeterministic(t *testing.T) {
 		jobs = append(jobs, analysisJob{cand, false}, analysisJob{cand, true})
 	}
 	opts := &Options{H: 1}
-	a := gridDispatchOrder(lr.Locked, jobs, opts)
-	b := gridDispatchOrder(lr.Locked, jobs, opts)
+	a, _ := gridDispatchOrder(lr.Locked, jobs, opts)
+	b, _ := gridDispatchOrder(lr.Locked, jobs, opts)
 	if len(a) != len(jobs) {
 		t.Fatalf("order has %d entries, want %d", len(a), len(jobs))
 	}

@@ -1,37 +1,116 @@
 package fall
 
 import (
+	"context"
+	"math/bits"
 	"sync"
 
+	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/sat"
 )
 
-// This file builds the frozen clause-stream prefixes the functional
-// analyses fork instead of re-encoding. Each candidate node's cone is
-// encoded at most once per shape — the two-copy Hamming-distance
-// instance, the two-copy unateness instance, and the single-copy
-// equivalence-check instance — into a sat.Stream, frozen, and shared
-// by both polarity cells of the grid: polarity only affects the small
-// per-cell delta (output units or assumptions), never the prefix. For
-// engines implementing sat.FrozenLoader (persistent process sessions,
-// the memo engine, portfolios) priming with the frozen prefix is O(1)
-// and content-hashed, so a whole grid uploads each cone's CNF once.
+// This file holds the per-candidate state both polarity cells of the
+// grid share: the candidate's cone, extracted once, its density
+// verdicts, and the frozen clause-stream prefixes the functional
+// analyses fork instead of re-encoding. Each cone is encoded at most
+// once per shape — the two-copy Hamming-distance instance, the
+// two-copy unateness instance, and the single-copy equivalence-check
+// instance — into a sat.Stream, frozen, and shared by both polarity
+// cells: polarity only affects the small per-cell delta (output units
+// or assumptions), never the prefix. Priming a cell's engine with a
+// prefix goes through sat.FrozenLoader: the internal solver copies the
+// prefix's replayed image instead of re-adding its clauses, persistent
+// process engines upload each prefix once per hash, and the memo
+// engine and portfolios record or forward the reference. Only engines
+// that are not loaders (the BDD engine) replay the prefix.
 
-// candPrefixes caches one candidate's frozen prefixes. The two
-// polarity cells may race on different workers; builders run under
-// sync.Once, so the first cell to need a prefix encodes it and the
-// other blocks and shares. Everything stored is immutable after the
-// Once completes.
+// candPrefixes is one candidate's shared state. The dispatch probe
+// fills the cone fields and density verdicts before any cell runs;
+// the two polarity cells may then race on different workers for the
+// prefixes, which are encoded under sync.Once, so the first cell to
+// need a prefix encodes it and the other blocks and shares.
+// Everything stored is immutable once set.
 type candPrefixes struct {
+	cone     *circuit.Circuit
+	inputMap map[int]int // cone input id -> locked-circuit node id
+	inputs   []int       // cone input ids, sorted
+	keyDep   bool        // the cone reads a key input: not a stripper
+
+	// dense[pol] is the 256-pattern probe's verdict (dispatch cost);
+	// pass[pol] the density filter's (see sampleDensity). Index 0 is
+	// the positive polarity, 1 the negated one.
+	dense [2]bool
+	pass  [2]bool
+
 	hdOnce sync.Once
 	hd     *hdPrefix
 
 	unateOnce sync.Once
 	unate     *unatePrefix
 
-	coneOnce sync.Once
-	cone     *conePrefix
+	eqOnce sync.Once
+	eq     *conePrefix
+}
+
+// newCandPrefixes extracts candidate node's cone from c.
+func newCandPrefixes(c *circuit.Circuit, node int) *candPrefixes {
+	cone, im := c.Cone(node)
+	p := &candPrefixes{cone: cone, inputMap: im, inputs: cone.Inputs()}
+	for _, id := range p.inputs {
+		if cone.Nodes[id].IsKey {
+			p.keyDep = true
+			break
+		}
+	}
+	return p
+}
+
+// sampleDensity runs the dispatch probe and the density pre-filter
+// (see densityThreshold) for both polarities over one simulation of
+// the cone. The probe reads the first 4 words of the
+// densityRNG stream and the filter all 256, so both see exactly the
+// patterns they would sample alone. On-counts only grow, so a polarity
+// passes the filter iff its final count is within the threshold — the
+// verdict of a per-polarity early exit — and sampling stops once both
+// polarities are over it. Without the filter (disabled, or a
+// key-dependent cone the cells reject anyway) only the probe runs.
+func (p *candPrefixes) sampleDensity(h int, filter bool) {
+	const probeWords, filterWords = 4, 256
+	m := len(p.inputs)
+	words := probeWords
+	if filter && !p.keyDep {
+		words = filterWords
+	}
+	probeThreshold := densityThreshold(probeWords*64, m, h)
+	threshold := densityThreshold(filterWords*64, m, h)
+	rng := densityRNG(p.cone.Len(), m)
+	vals := make([]uint64, p.cone.Len())
+	var on, n float64 // positive-polarity on-count, patterns so far
+	for w := 0; w < words; w++ {
+		for _, in := range p.inputs {
+			vals[in] = rng.Uint64()
+		}
+		p.cone.Simulate(vals)
+		on += float64(bits.OnesCount64(vals[p.cone.Outputs[0]]))
+		n += 64
+		if w+1 == probeWords && m > 0 {
+			p.dense = [2]bool{on > probeThreshold, n-on > probeThreshold}
+		}
+		if w+1 >= probeWords && on > threshold && n-on > threshold {
+			break
+		}
+	}
+	p.pass = [2]bool{true, true}
+	if words == filterWords {
+		p.pass = [2]bool{on <= threshold, n-on <= threshold}
+	}
+}
+
+// analysis returns a fresh analysis context for one polarity cell of
+// the candidate.
+func (p *candPrefixes) analysis(ctx context.Context, neg bool, opts *Options) *analysisContext {
+	return &analysisContext{ctx: ctx, cone: p.cone, inputMap: p.inputMap, inputs: p.inputs, neg: neg, opts: opts, pre: p}
 }
 
 // hdPrefix is the frozen encoding of cone(X) ∧ cone(X') ∧ HD(X, X') =
@@ -123,16 +202,16 @@ type conePrefix struct {
 }
 
 func (c *candPrefixes) coneFor(a *analysisContext) *conePrefix {
-	c.coneOnce.Do(func() {
+	c.eqOnce.Do(func() {
 		st := sat.NewStream()
 		e := cnf.NewEncoder(st)
 		lits := e.EncodeCircuitWith(a.cone, nil)
-		c.cone = &conePrefix{
+		c.eq = &conePrefix{
 			frozen: st.Freeze(),
 			ins:    cnf.InputLits(a.inputs, lits),
 			f:      lits[a.cone.Outputs[0]],
 			enc:    e,
 		}
 	})
-	return c.cone
+	return c.eq
 }

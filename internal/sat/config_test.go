@@ -229,37 +229,44 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestDeadlineFoldsIntoContext: the deprecated SetDeadline must behave
-// exactly like a context deadline, and composing it with SetContext
-// must honor whichever budget is tighter.
+// TestDeadlineFoldsIntoContext: a deadline derived from the run
+// context is the solver's wall-clock budget. An expired deadline on a
+// live parent expires the solve, the tighter of parent and child
+// budgets wins, and re-attaching the live parent (or nothing) restores
+// an unbounded solve.
 func TestDeadlineFoldsIntoContext(t *testing.T) {
 	s := New()
 	pigeonholeEngine(s, 9, 8)
-	s.SetDeadline(time.Now().Add(-time.Second))
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	s.SetContext(expired)
 	if got := s.Solve(); got != Unknown {
-		t.Fatalf("expired SetDeadline: got %v, want UNKNOWN", got)
+		t.Fatalf("expired deadline: got %v, want UNKNOWN", got)
 	}
-	// Clearing the deadline restores the (absent) base context.
-	s.SetDeadline(time.Time{})
+	// Clearing the deadline restores an unbounded solve.
+	s.SetContext(nil)
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("after clearing deadline: got %v, want UNSAT", got)
 	}
-	// Composition: a live base context with an expired folded deadline
-	// still expires, and detaching the context keeps the deadline.
+	// Composition: a live parent with an expired child deadline
+	// expires; so does a cancelled parent under a distant deadline.
 	s2 := New()
 	pigeonholeEngine(s2, 9, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s2.SetContext(ctx)
-	s2.SetDeadline(time.Now().Add(-time.Second))
+	parent, cancel := context.WithCancel(context.Background())
+	child, cancelChild := context.WithDeadline(parent, time.Now().Add(-time.Second))
+	defer cancelChild()
+	s2.SetContext(child)
 	if got := s2.Solve(); got != Unknown {
 		t.Fatalf("live context + expired deadline: got %v, want UNKNOWN", got)
 	}
-	s2.SetContext(nil)
+	distant, cancelDistant := context.WithDeadline(parent, time.Now().Add(time.Hour))
+	defer cancelDistant()
+	cancel()
+	s2.SetContext(distant)
 	if got := s2.Solve(); got != Unknown {
-		t.Fatalf("detached context must keep the expired deadline: got %v", got)
+		t.Fatalf("cancelled parent under a distant deadline: got %v, want UNKNOWN", got)
 	}
-	s2.SetDeadline(time.Time{})
+	s2.SetContext(nil)
 	if got := s2.Solve(); got != Unsat {
 		t.Fatalf("all budgets cleared: got %v, want UNSAT", got)
 	}

@@ -13,8 +13,8 @@ package sat
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
-	"time"
 )
 
 // Lit is a literal: variable index shifted left once, low bit set for
@@ -90,15 +90,46 @@ const (
 	lFalse lbool = -1
 )
 
-type clause struct {
-	lits     []Lit
-	activity float64
-	lbd      int32
-	learnt   bool
+// cref references a clause by the offset of its header word in the
+// solver's clause arena.
+type cref uint32
+
+// crefUndef is the "no clause" reference: the reason of a decision,
+// an assumption or a top-level unit, and propagate's "no conflict".
+const crefUndef cref = ^cref(0)
+
+// Clause arena layout. Every clause is a run of words in one flat []Lit:
+//
+//	arena[c]                  header: size<<2 | deleted<<1 | learnt
+//	arena[c+1 : c+1+size]     the literals
+//	arena[c+1+size]           learnt only: LBD
+//	arena[c+2+size : c+4+size] learnt only: activity, float64 bits (low, high)
+//
+// Keeping the literals right after the header lets propagate reach them
+// from a watcher without a pointer hop, and the arena holds no pointers
+// for the GC to scan. Deleted clauses stay in place, counted in wasted,
+// until compact rebuilds the arena.
+const (
+	hdrLearnt  = 1
+	hdrDeleted = 2
+	hdrShift   = 2
+	learntTail = 3 // LBD + two activity words
+)
+
+// clauseWords returns the arena footprint of the clause with header h.
+func clauseWords(h Lit) int {
+	n := 1 + int(h>>hdrShift)
+	if h&hdrLearnt != 0 {
+		n += learntTail
+	}
+	return n
 }
 
+// watcher registers clause cref under the negation of one of its two
+// watched literals; blocker is a literal of the clause whose truth
+// makes visiting the clause unnecessary.
 type watcher struct {
-	c       *clause
+	cref    cref
 	blocker Lit
 }
 
@@ -150,14 +181,17 @@ func (s Stats) Add(o Stats) Stats {
 // any number of times, adding more variables/clauses between calls.
 type Solver struct {
 	// Problem.
-	clauses []*clause // original clauses
-	learnts []*clause // learnt clauses
-	ok      bool      // false once a top-level conflict is found
+	arena       []Lit  // clause arena (see clauseWords for the layout)
+	wasted      int    // arena words held by deleted clauses
+	compactions int    // arena rebuilds so far
+	clauses     []cref // original clauses
+	learnts     []cref // learnt clauses
+	ok          bool   // false once a top-level conflict is found
 
 	// Assignment state.
-	value    []lbool // per variable
+	assigns  []lbool // per literal: assigns[l] is the value of l
 	level    []int32 // per variable, decision level of assignment
-	reason   []*clause
+	reason   []cref  // per variable, crefUndef for decisions and units
 	trail    []Lit
 	trailLim []int // trail length at each decision level
 	qhead    int
@@ -171,9 +205,13 @@ type Solver struct {
 	heap     varHeap
 	polarity []bool // saved phases; true = last assigned false
 
-	// Conflict analysis scratch.
-	seen    []bool
-	toClear []int
+	// Conflict analysis scratch, reused across conflicts and clauses.
+	seen       []bool
+	toClear    []int
+	learntLits []Lit    // analyze's learnt clause
+	addLits    []Lit    // AddClause's normalized clause
+	lbdStamp   []uint32 // per decision level, computeLBD's visited mark
+	lbdEpoch   uint32
 
 	// Clause activity.
 	claInc       float64
@@ -185,13 +223,10 @@ type Solver struct {
 	cfg Config
 	rng *rand.Rand
 
-	// Budgets. SetDeadline and SetContext both fold into ctx, so search
-	// has a single budget check (budgetExceeded) instead of
-	// deadline+context double bookkeeping.
+	// Budgets: a conflict limit and the SetContext context, both read
+	// by the single budget check (budgetExceeded).
 	conflictLimit int64           // 0 = unlimited
-	baseCtx       context.Context // as passed to SetContext
-	deadline      time.Time       // as passed to SetDeadline
-	ctx           context.Context // baseCtx composed with the deadline
+	ctx           context.Context // as passed to SetContext
 	budgetPolls   uint32          // throttles the in-search budget checks
 
 	model []lbool // last satisfying assignment
@@ -234,10 +269,10 @@ func (s *Solver) Stats() Stats { return s.stats }
 
 // NewVar introduces a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.value)
-	s.value = append(s.value, lUndef)
+	v := s.NumVars()
+	s.assigns = append(s.assigns, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, true)
 	s.seen = append(s.seen, false)
@@ -247,7 +282,7 @@ func (s *Solver) NewVar() int {
 }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.value) }
+func (s *Solver) NumVars() int { return len(s.assigns) >> 1 }
 
 // NumClauses returns the number of original (non-learnt) clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
@@ -256,73 +291,17 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 // 0 removes the bound. When exceeded, Solve returns Unknown.
 func (s *Solver) SetConflictLimit(n int64) { s.conflictLimit = n }
 
-// SetDeadline sets a wall-clock deadline; a zero time removes it. When
-// exceeded, Solve returns Unknown.
-//
-// Deprecated: express wall-clock budgets through SetContext (wrap the
-// run context with context.WithDeadline). SetDeadline remains as a thin
-// wrapper that folds the deadline into the same context-based budget
-// check the search already performs.
-func (s *Solver) SetDeadline(t time.Time) {
-	s.deadline = t
-	s.recomputeCtx()
-}
-
 // SetContext attaches a context to the solver: once ctx is cancelled or
 // its deadline passes (ctx.Err() reports both), the current and any
 // subsequent Solve calls return Unknown. Passing nil detaches the
-// context.
-func (s *Solver) SetContext(ctx context.Context) {
-	s.baseCtx = ctx
-	s.recomputeCtx()
-}
+// context. It is the solver's only wall-clock budget: wrap the run
+// context with context.WithDeadline for a time limit.
+func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 
-// recomputeCtx folds the SetContext context and the deprecated
-// SetDeadline deadline into the single ctx consulted by budget checks.
-func (s *Solver) recomputeCtx() {
-	base := s.baseCtx
-	if s.deadline.IsZero() {
-		s.ctx = base
-		return
-	}
-	if base == nil {
-		base = context.Background()
-	}
-	s.ctx = deadlineContext{base, s.deadline}
-}
+func (s *Solver) litValue(l Lit) lbool { return s.assigns[l] }
 
-// deadlineContext adds a lazily-checked wall-clock deadline to a parent
-// context without timer goroutines or cancel bookkeeping: the solver
-// polls Err(), never Done(), so checking the clock inside Err suffices.
-type deadlineContext struct {
-	context.Context
-	t time.Time
-}
-
-func (d deadlineContext) Deadline() (time.Time, bool) {
-	if p, ok := d.Context.Deadline(); ok && p.Before(d.t) {
-		return p, true
-	}
-	return d.t, true
-}
-
-func (d deadlineContext) Err() error {
-	if err := d.Context.Err(); err != nil {
-		return err
-	}
-	if time.Now().After(d.t) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
-func (s *Solver) litValue(l Lit) lbool {
-	v := s.value[l.Var()]
-	if l.Sign() {
-		return -v
-	}
-	return v
-}
+// varValue returns the value of variable v.
+func (s *Solver) varValue(v int) lbool { return s.assigns[v<<1] }
 
 // AddClause adds a clause over the given literals. It returns false if the
 // solver is already in an unsatisfiable state (now or as a result of this
@@ -335,9 +314,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		panic("sat: AddClause called during search")
 	}
 	// Sort/uniq and check for tautology or satisfied/falsified literals.
-	out := make([]Lit, 0, len(lits))
+	out := s.addLits[:0]
+	defer func() { s.addLits = out[:0] }()
 	for _, l := range lits {
-		if l.Var() >= len(s.value) || l < 0 {
+		if l < 0 || int(l) >= len(s.assigns) {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
 		}
 		switch s.litValue(l) {
@@ -365,30 +345,79 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		s.ok = s.propagate() == nil
+		s.uncheckedEnqueue(out[0], crefUndef)
+		s.ok = s.propagate() == crefUndef
 		return s.ok
 	}
-	c := &clause{lits: out}
+	c := s.allocClause(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{c, c.lits[0]})
+// allocClause appends a clause over lits to the arena and returns its
+// reference. A learnt clause gets a zeroed LBD/activity tail.
+func (s *Solver) allocClause(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	h := Lit(len(lits)) << hdrShift
+	if learnt {
+		h |= hdrLearnt
+	}
+	s.arena = append(s.arena, h)
+	s.arena = append(s.arena, lits...)
+	if learnt {
+		s.arena = append(s.arena, 0, 0, 0)
+	}
+	return c
 }
 
-func (s *Solver) detach(c *clause) {
-	s.removeWatch(c.lits[0].Neg(), c)
-	s.removeWatch(c.lits[1].Neg(), c)
+// lits returns the literals of clause c, aliasing the arena: valid
+// until the next allocation or compaction.
+func (s *Solver) lits(c cref) []Lit {
+	n := cref(s.arena[c] >> hdrShift)
+	return s.arena[c+1 : c+1+n : c+1+n]
 }
 
-func (s *Solver) removeWatch(l Lit, c *clause) {
+func (s *Solver) isLearnt(c cref) bool { return s.arena[c]&hdrLearnt != 0 }
+
+// tail returns the index of learnt clause c's LBD word; the activity
+// words follow it.
+func (s *Solver) tail(c cref) cref { return c + 1 + cref(s.arena[c]>>hdrShift) }
+
+func (s *Solver) lbd(c cref) int32 { return int32(s.arena[s.tail(c)]) }
+
+func (s *Solver) activityOf(c cref) float64 {
+	t := s.tail(c)
+	return math.Float64frombits(uint64(uint32(s.arena[t+1])) | uint64(uint32(s.arena[t+2]))<<32)
+}
+
+func (s *Solver) setActivity(c cref, a float64) {
+	t := s.tail(c)
+	b := math.Float64bits(a)
+	s.arena[t+1] = Lit(uint32(b))
+	s.arena[t+2] = Lit(uint32(b >> 32))
+}
+
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	s.watches[lits[0].Neg()] = append(s.watches[lits[0].Neg()], watcher{c, lits[1]})
+	s.watches[lits[1].Neg()] = append(s.watches[lits[1].Neg()], watcher{c, lits[0]})
+}
+
+// detach removes clause c's two watchers and marks it deleted; its
+// words count as wasted until the next compaction.
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	s.removeWatch(lits[0].Neg(), c)
+	s.removeWatch(lits[1].Neg(), c)
+	s.arena[c] |= hdrDeleted
+	s.wasted += clauseWords(s.arena[c])
+}
+
+func (s *Solver) removeWatch(l Lit, c cref) {
 	ws := s.watches[l]
 	for i := range ws {
-		if ws[i].c == c {
+		if ws[i].cref == c {
 			ws[i] = ws[len(ws)-1]
 			s.watches[l] = ws[:len(ws)-1]
 			return
@@ -400,22 +429,20 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 func (s *Solver) newDecisionLevel() { s.trailLim = append(s.trailLim, len(s.trail)) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
-	if l.Sign() {
-		s.value[v] = lFalse
-	} else {
-		s.value[v] = lTrue
-	}
+	s.assigns[l] = lTrue
+	s.assigns[l^1] = lFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
 // propagate performs unit propagation; it returns the conflicting clause
-// or nil.
-func (s *Solver) propagate() *clause {
-	var confl *clause
+// or crefUndef.
+func (s *Solver) propagate() cref {
+	confl := crefUndef
+	arena := s.arena // propagation never allocates clauses
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -434,8 +461,9 @@ func (s *Solver) propagate() *clause {
 				j++
 				continue
 			}
-			c := w.c
-			lits := c.lits
+			c := w.cref
+			n := cref(arena[c] >> hdrShift)
+			lits := arena[c+1 : c+1+n : c+1+n]
 			// Ensure the false literal is lits[1].
 			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
@@ -470,11 +498,11 @@ func (s *Solver) propagate() *clause {
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = ws[:j]
-		if confl != nil {
+		if confl != crefUndef {
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) cancelUntil(lvl int) {
@@ -483,10 +511,12 @@ func (s *Solver) cancelUntil(lvl int) {
 	}
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.polarity[v] = s.value[v] == lFalse
-		s.value[v] = lUndef
-		s.reason[v] = nil
+		l := s.trail[i]
+		v := l.Var()
+		s.polarity[v] = l.Sign()
+		s.assigns[l] = lUndef
+		s.assigns[l^1] = lUndef
+		s.reason[v] = crefUndef
 		s.heap.insertIfAbsent(v)
 	}
 	s.trail = s.trail[:bound]
@@ -507,11 +537,12 @@ func (s *Solver) varBump(v int) {
 
 func (s *Solver) varDecay() { s.varInc /= s.cfg.VarDecay }
 
-func (s *Solver) claBump(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+func (s *Solver) claBump(c cref) {
+	a := s.activityOf(c) + s.claInc
+	s.setActivity(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+			s.setActivity(lc, s.activityOf(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -520,19 +551,21 @@ func (s *Solver) claBump(c *clause) {
 func (s *Solver) claDecay() { s.claInc /= s.cfg.ClauseDecay }
 
 // analyze performs first-UIP conflict analysis and returns the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{LitUndef} // slot 0 reserved for the asserting literal
+// clause (asserting literal first) and the backtrack level. The clause
+// lives in a scratch buffer that the next analyze call overwrites.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntLits[:0], LitUndef) // slot 0: the asserting literal
+	defer func() { s.learntLits = learnt[:0] }()
 	pathC := 0
 	p := LitUndef
 	idx := len(s.trail) - 1
 	for {
-		lits := confl.lits
+		lits := s.lits(confl)
 		start := 0
 		if p != LitUndef {
 			start = 1
 		}
-		if confl.learnt {
+		if s.isLearnt(confl) {
 			s.claBump(confl)
 		}
 		for _, q := range lits[start:] {
@@ -568,13 +601,13 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()
 		r := s.reason[v]
-		if r == nil {
+		if r == crefUndef {
 			learnt[j] = learnt[i]
 			j++
 			continue
 		}
 		redundant := true
-		for _, q := range r.lits[1:] {
+		for _, q := range s.lits(r)[1:] {
 			if !s.seen[q.Var()] && s.level[q.Var()] > 0 {
 				redundant = false
 				break
@@ -609,13 +642,27 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 }
 
 // computeLBD returns the number of distinct decision levels in the clause,
-// the "literal block distance" quality measure.
+// the "literal block distance" quality measure. Levels are marked in a
+// per-level stamp array under a fresh epoch, so no per-call set is
+// allocated.
 func (s *Solver) computeLBD(lits []Lit) int32 {
-	levels := make(map[int32]struct{}, len(lits))
-	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+	s.lbdEpoch++
+	if s.lbdEpoch == 0 { // wrapped: clear stale marks
+		clear(s.lbdStamp)
+		s.lbdEpoch = 1
 	}
-	return int32(len(levels))
+	n := int32(0)
+	for _, l := range lits {
+		lvl := int(s.level[l.Var()])
+		if lvl >= len(s.lbdStamp) {
+			s.lbdStamp = append(s.lbdStamp, make([]uint32, lvl+1-len(s.lbdStamp))...)
+		}
+		if s.lbdStamp[lvl] != s.lbdEpoch {
+			s.lbdStamp[lvl] = s.lbdEpoch
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Solver) reduceDB() {
@@ -624,17 +671,17 @@ func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
 	}
-	cand := make([]*clause, 0, len(s.learnts))
-	kept := make([]*clause, 0, len(s.learnts))
+	cand := make([]cref, 0, len(s.learnts))
+	kept := make([]cref, 0, len(s.learnts))
 	for _, c := range s.learnts {
-		if c.lbd <= 2 || len(c.lits) == 2 || s.locked(c) {
+		if s.lbd(c) <= 2 || len(s.lits(c)) == 2 || s.locked(c) {
 			kept = append(kept, c)
 		} else {
 			cand = append(cand, c)
 		}
 	}
 	// Remove the lower-activity half of the candidates.
-	sortClausesByActivity(cand)
+	s.sortByActivity(cand)
 	cut := len(cand) / 2
 	for i, c := range cand {
 		if i < cut {
@@ -645,26 +692,70 @@ func (s *Solver) reduceDB() {
 		}
 	}
 	s.learnts = kept
+	if s.wasted > len(s.arena)/2 {
+		s.compact()
+	}
 }
 
-func (s *Solver) locked(c *clause) bool {
-	v := c.lits[0].Var()
-	return s.reason[v] == c && s.value[v] != lUndef
+func (s *Solver) locked(c cref) bool {
+	v := s.lits(c)[0].Var()
+	return s.reason[v] == c && s.varValue(v) != lUndef
 }
 
-func sortClausesByActivity(cs []*clause) {
+func (s *Solver) sortByActivity(cs []cref) {
 	// Insertion-friendly shellsort to avoid pulling in sort.Slice closures
 	// on a hot path; sizes here are modest.
 	for gap := len(cs) / 2; gap > 0; gap /= 2 {
 		for i := gap; i < len(cs); i++ {
 			c := cs[i]
+			a := s.activityOf(c)
 			j := i
-			for ; j >= gap && cs[j-gap].activity > c.activity; j -= gap {
+			for ; j >= gap && s.activityOf(cs[j-gap]) > a; j -= gap {
 				cs[j] = cs[j-gap]
 			}
 			cs[j] = c
 		}
 	}
+}
+
+// compact rebuilds the arena without deleted clauses and remaps every
+// reference — clause lists, reasons and watchers — in place, so the
+// order of every list, and hence the search, is unchanged. Each live
+// clause's new offset is left in its old first-literal word, which the
+// remapping reads.
+func (s *Solver) compact() {
+	old := s.arena
+	next := make([]Lit, 0, len(old)-s.wasted)
+	for c := 0; c < len(old); {
+		h := old[c]
+		n := clauseWords(h)
+		if h&hdrDeleted == 0 {
+			nc := Lit(len(next))
+			next = append(next, old[c:c+n]...)
+			old[c+1] = nc
+		}
+		c += n
+	}
+	remap := func(cs []cref) {
+		for i, c := range cs {
+			cs[i] = cref(old[c+1])
+		}
+	}
+	remap(s.clauses)
+	remap(s.learnts)
+	for v, r := range s.reason {
+		if r != crefUndef {
+			s.reason[v] = cref(old[r+1])
+		}
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].cref = cref(old[ws[i].cref+1])
+		}
+	}
+	s.arena = next
+	s.wasted = 0
+	s.compactions++
 }
 
 // luby returns the Luby sequence value for index i (1-based), used to
@@ -691,7 +782,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
 	conflicts := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -701,9 +792,10 @@ func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
 			learnt, btLevel := s.analyze(confl)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learnt: true, lbd: s.computeLBD(learnt)}
+				c := s.allocClause(learnt, true)
+				s.arena[s.tail(c)] = Lit(s.computeLBD(learnt))
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.claBump(c)
@@ -747,14 +839,17 @@ func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
 			v := s.pickBranchVar()
 			if v < 0 {
 				// All variables assigned: model found.
-				s.model = append(s.model[:0], s.value...)
+				s.model = s.model[:0]
+				for l := 0; l < len(s.assigns); l += 2 {
+					s.model = append(s.model, s.assigns[l])
+				}
 				return Sat
 			}
 			s.stats.Decisions++
 			next = MkLit(v, s.decidePolarity(v))
 		}
 		s.newDecisionLevel()
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
 
@@ -762,15 +857,15 @@ func (s *Solver) pickBranchVar() int {
 	// Seeded tie-breaking: with probability RandomFreq pick a uniformly
 	// random unassigned variable instead of the VSIDS top. The variable
 	// stays in the heap; pops skip assigned variables anyway.
-	if s.rng != nil && s.cfg.RandomFreq > 0 && len(s.value) > 0 &&
+	if s.rng != nil && s.cfg.RandomFreq > 0 && len(s.assigns) > 0 &&
 		s.rng.Float64() < s.cfg.RandomFreq {
-		if v := s.rng.Intn(len(s.value)); s.value[v] == lUndef {
+		if v := s.rng.Intn(s.NumVars()); s.varValue(v) == lUndef {
 			return v
 		}
 	}
 	for !s.heap.empty() {
 		v := s.heap.pop()
-		if s.value[v] == lUndef {
+		if s.varValue(v) == lUndef {
 			return v
 		}
 	}
@@ -794,13 +889,10 @@ func (s *Solver) decidePolarity(v int) bool {
 }
 
 // budgetExceeded is the per-decision check inside search. ctx.Err()
-// takes a mutex and (through deadlineContext) may read the clock, so the
-// check is rationed to every 256 calls — but by a dedicated poll
-// counter, not the conflict count, so cancellation is still noticed
-// promptly on conflict-free instances. SolveAssuming performs one
-// unthrottled check on entry. This is the single budget check: the
-// deprecated SetDeadline folds into s.ctx, so there is no separate
-// deadline bookkeeping.
+// takes a mutex and may read the clock, so the check is rationed to
+// every 256 calls — but by a dedicated poll counter, not the conflict
+// count, so cancellation is still noticed promptly on conflict-free
+// instances. SolveAssuming performs one unthrottled check on entry.
 func (s *Solver) budgetExceeded() bool {
 	if s.conflictLimit > 0 && s.stats.Conflicts >= s.conflictLimit {
 		return true

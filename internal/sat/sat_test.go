@@ -188,14 +188,18 @@ func TestContextDeadline(t *testing.T) {
 	}
 }
 
+// TestDeadline: a wall-clock budget is a context deadline. An expired
+// one makes Solve return Unknown; clearing it lets the solve finish.
 func TestDeadline(t *testing.T) {
 	s := New()
 	pigeonhole(s, 9, 8)
-	s.SetDeadline(time.Now().Add(-time.Second))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	s.SetContext(ctx)
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("got %v with expired deadline, want UNKNOWN", got)
 	}
-	s.SetDeadline(time.Time{})
+	s.SetContext(nil)
 	s.SetConflictLimit(0)
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("got %v, want UNSAT", got)

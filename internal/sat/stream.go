@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"sync"
 )
 
 // This file implements the frozen clause stream at the heart of the
@@ -82,6 +83,11 @@ type Frozen struct {
 	nVars  int // total variables through this segment
 	ok     bool
 	hash   Hash
+
+	// The internal solver's replayed image, built on first LoadFrozen
+	// (see image.go).
+	imgOnce sync.Once
+	img     *solverImage
 }
 
 // NumVars returns the number of variables the frozen stream allocates.
@@ -152,17 +158,20 @@ func (f *Frozen) Replay(e Engine) bool {
 }
 
 // FrozenLoader is implemented by engines that can adopt a frozen
-// prefix without per-clause replay: the DIMACS-pipe engine (which
-// defers the dump, and in persistent mode loads the prefix into its
-// server session once per hash), the memo engine (which records the
-// reference) and Portfolio (which forwards to every member). Prime is
-// the one entry point; LoadFrozen requires a fresh engine.
+// prefix without per-clause replay: the internal *Solver (which copies
+// the prefix's cached replay image, see image.go), the DIMACS-pipe
+// engine (which defers the dump, and in persistent mode loads the
+// prefix into its long-lived solver process once per hash), the memo
+// engine (which records the reference) and Portfolio (which forwards
+// to every member). Prime is the one entry point; LoadFrozen requires
+// a fresh engine.
 type FrozenLoader interface {
 	LoadFrozen(f *Frozen)
 }
 
-// Prime loads a frozen prefix into a fresh engine: O(1) for engines
-// implementing FrozenLoader, an exact replay otherwise. A nil frozen
+// Prime loads a frozen prefix into a fresh engine through its
+// FrozenLoader, or by an exact replay for engines that are not one
+// (e.g. the BDD engine). A nil frozen
 // is a no-op, so Prime(e, nil) is always safe.
 func Prime(e Engine, f *Frozen) {
 	if f == nil {

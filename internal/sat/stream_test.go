@@ -1,7 +1,9 @@
 package sat_test
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/sat"
@@ -81,24 +83,24 @@ func countVars(ops []testOp) int {
 }
 
 // TestFrozenReplayIdentity is the core property: solving a frozen
-// prefix plus delta — built through Stream/Freeze/Prime — returns the
-// same verdict AND the same model as building the identical stream
-// directly into a solver, across randomized streams, freeze points and
-// assumptions.
+// prefix plus delta — built through Stream/Freeze — is state-identical
+// to building the identical stream directly into a solver, across
+// randomized streams, freeze points and incremental queries. Three
+// solvers take the same stream: direct construction, a Replay of the
+// prefix into a fresh solver, and the native LoadFrozen image copy.
+// After every query their verdicts, models and Stats must agree.
 func TestFrozenReplayIdentity(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := randOps(rng, 24)
 		nVars := countVars(ops)
-		as := randAssumptions(rng, nVars)
 
 		// Reference: direct construction, same interleaving.
 		ref := sat.New()
 		applyOps(ref, ops)
-		want := ref.SolveAssuming(as)
 
-		// Frozen path: freeze at up to two random cuts, prime, add the
-		// delta directly to the engine.
+		// Frozen path: freeze at up to two random cuts, then add the
+		// delta directly to each engine.
 		cut1 := rng.Intn(len(ops) + 1)
 		cut2 := cut1 + rng.Intn(len(ops)-cut1+1)
 		stream := sat.NewStream()
@@ -110,21 +112,40 @@ func TestFrozenReplayIdentity(t *testing.T) {
 			t.Fatalf("seed %d: frozen has %d vars, want %d", seed, frozen.NumVars(), countVars(ops[:cut2]))
 		}
 
-		eng := sat.New()
-		sat.Prime(eng, frozen)
-		applyOps(eng, ops[cut2:])
-		if eng.NumVars() != nVars {
-			t.Fatalf("seed %d: primed engine has %d vars, want %d", seed, eng.NumVars(), nVars)
+		replayed := sat.New()
+		frozen.Replay(replayed)
+		loaded := sat.New()
+		loaded.LoadFrozen(frozen)
+		engines := []*sat.Solver{ref, replayed, loaded}
+		for _, e := range engines[1:] {
+			applyOps(e, ops[cut2:])
+			if e.NumVars() != nVars {
+				t.Fatalf("seed %d: primed engine has %d vars, want %d", seed, e.NumVars(), nVars)
+			}
 		}
-		got := eng.SolveAssuming(as)
-		if got != want {
-			t.Fatalf("seed %d: frozen+delta verdict %v, direct %v", seed, got, want)
-		}
-		if want == sat.Sat {
-			for v := 0; v < nVars; v++ {
-				if ref.Value(v) != eng.Value(v) {
-					t.Fatalf("seed %d: model differs at var %d", seed, v)
+
+		for q := 0; q < 4; q++ {
+			as := randAssumptions(rng, nVars)
+			want := ref.SolveAssuming(as)
+			for i, e := range engines[1:] {
+				if got := e.SolveAssuming(as); got != want {
+					t.Fatalf("seed %d query %d engine %d: verdict %v, direct %v", seed, q, i+1, got, want)
 				}
+				if e.Stats() != ref.Stats() {
+					t.Fatalf("seed %d query %d engine %d: stats %+v, direct %+v", seed, q, i+1, e.Stats(), ref.Stats())
+				}
+				if want == sat.Sat {
+					for v := 0; v < nVars; v++ {
+						if ref.Value(v) != e.Value(v) {
+							t.Fatalf("seed %d query %d engine %d: model differs at var %d", seed, q, i+1, v)
+						}
+					}
+				}
+			}
+			// Grow all three between queries.
+			extra := []sat.Lit{sat.MkLit(rng.Intn(nVars), rng.Intn(2) == 0), sat.MkLit(rng.Intn(nVars), rng.Intn(2) == 0)}
+			for _, e := range engines {
+				e.AddClause(extra...)
 			}
 		}
 
@@ -143,6 +164,126 @@ func TestFrozenReplayIdentity(t *testing.T) {
 			}
 			if eb.Solve() == sat.Sat && !eb.Value(0) {
 				t.Fatalf("seed %d: fork B sees fork A's clause", seed)
+			}
+		}
+	}
+}
+
+// loadFrozenPrefix freezes a seeded satisfiable random 3-SAT prefix
+// large enough that searching it learns clauses and grows watch lists.
+func loadFrozenPrefix(seed int64, nVars, nClauses int) *sat.Frozen {
+	rng := rand.New(rand.NewSource(seed))
+	st := sat.NewStream()
+	for i := 0; i < nVars; i++ {
+		st.NewVar()
+	}
+	for i := 0; i < nClauses; i++ {
+		st.AddClause(sat.MkLit(rng.Intn(nVars), rng.Intn(2) == 0),
+			sat.MkLit(rng.Intn(nVars), rng.Intn(2) == 0),
+			sat.MkLit(rng.Intn(nVars), rng.Intn(2) == 0))
+	}
+	return st.Freeze()
+}
+
+// forkWork runs a fork's own incremental workload: each query adds a
+// few clauses over the prefix variables and solves under assumptions,
+// so the fork learns clauses and appends to its watch lists. It
+// returns the per-query verdicts, models and stats.
+func forkWork(e *sat.Solver, seed int64, nVars int) []string {
+	rng := rand.New(rand.NewSource(seed))
+	var out []string
+	for q := 0; q < 6; q++ {
+		for i := 0; i < 5; i++ {
+			e.AddClause(sat.MkLit(rng.Intn(nVars), rng.Intn(2) == 0), sat.MkLit(rng.Intn(nVars), rng.Intn(2) == 0),
+				sat.MkLit(rng.Intn(nVars), rng.Intn(2) == 0))
+		}
+		as := randAssumptions(rng, nVars)
+		st := e.SolveAssuming(as)
+		model := make([]byte, nVars)
+		for v := range model {
+			model[v] = '0'
+			if st == sat.Sat && e.Value(v) {
+				model[v] = '1'
+			}
+		}
+		out = append(out, fmt.Sprintf("%v %+v %s", st, e.Stats(), model))
+	}
+	return out
+}
+
+// TestLoadFrozenForkIsolation: two solvers loaded from one image that
+// each learn and add clauses must not see each other's watchers (the
+// watch lists share one flat array per solver, never across solvers or
+// with the image). Each fork must behave exactly like a solver that
+// replayed the prefix itself, and a load after both forks worked must
+// still match a fresh replay.
+func TestLoadFrozenForkIsolation(t *testing.T) {
+	const nVars = 90
+	frozen := loadFrozenPrefix(5, nVars, 360)
+	run := func(load bool, seed int64) []string {
+		e := sat.New()
+		if load {
+			e.LoadFrozen(frozen)
+		} else {
+			frozen.Replay(e)
+		}
+		return forkWork(e, seed, nVars)
+	}
+	// Both forks are loaded before either works, so a backing array
+	// shared between them would let one fork's work corrupt the other.
+	a, b := sat.New(), sat.New()
+	a.LoadFrozen(frozen)
+	b.LoadFrozen(frozen)
+	ra, rb := forkWork(a, 1, nVars), forkWork(b, 2, nVars)
+	for _, tc := range []struct {
+		name string
+		got  []string
+		seed int64
+	}{{"fork A", ra, 1}, {"fork B", rb, 2}} {
+		want := run(false, tc.seed)
+		for q := range want {
+			if tc.got[q] != want[q] {
+				t.Fatalf("%s query %d: got %s, replay %s", tc.name, q, tc.got[q], want[q])
+			}
+		}
+	}
+	// The image is untouched by the forks' work.
+	late, want := run(true, 3), run(false, 3)
+	for q := range want {
+		if late[q] != want[q] {
+			t.Fatalf("load after forks, query %d: got %s, replay %s", q, late[q], want[q])
+		}
+	}
+}
+
+// TestLoadFrozenConcurrent: many goroutines loading one shared Frozen
+// — the first loads race to build the image — must each get a solver
+// identical to a replay. Run under -race this also checks the image
+// is built once and only read afterwards.
+func TestLoadFrozenConcurrent(t *testing.T) {
+	const nVars = 60
+	frozen := loadFrozenPrefix(9, nVars, 240)
+	ref := sat.New()
+	frozen.Replay(ref)
+	want := forkWork(ref, 4, nVars)
+
+	const workers = 8
+	got := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			e := sat.New()
+			e.LoadFrozen(frozen)
+			got[w] = forkWork(e, 4, nVars)
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for q := range want {
+			if got[w][q] != want[q] {
+				t.Fatalf("worker %d query %d: got %s, replay %s", w, q, got[w][q], want[q])
 			}
 		}
 	}
