@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -297,7 +298,12 @@ func benchSolverEngine(b *testing.B, n int) {
 		if n <= 1 {
 			e = sat.New()
 		} else {
-			e = sat.NewPortfolio(sat.PortfolioConfigs(sat.Config{}, n), nil)
+			configs := sat.PortfolioConfigs(sat.Config{}, n)
+			engines := make([]sat.Engine, n)
+			for j, c := range configs {
+				engines[j] = sat.NewWith(c)
+			}
+			e = sat.NewEnginePortfolio(engines, nil)
 		}
 		const p, holes = 8, 7
 		vars := make([][]int, p)
@@ -341,7 +347,10 @@ func benchFALLSolver(b *testing.B, portfolio int) {
 	lr := ablationCase(b, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		setup := attack.NewSolverSetup(sat.Config{}, portfolio)
+		setup, err := attack.SolverSetupFromFlags("", strconv.Itoa(portfolio))
+		if err != nil {
+			b.Fatal(err)
+		}
 		res, err := fall.Attack(context.Background(), lr.Locked, fall.Options{
 			H: 4, Analysis: fall.SlidingWindow, Solver: setup.Factory(),
 		})

@@ -75,9 +75,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if err := setup.Check(); err != nil {
-		fatalf("%v", err)
-	}
 	if m, err := attack.NewMemoFromFlags(*memo, *memoDir, *memoMax); err != nil {
 		fatalf("%v", err)
 	} else if m != nil {

@@ -27,8 +27,7 @@
 // output byte-identical to a monolithic cmd/fallbench run over the same
 // measurements — regardless of how the fleet split the work — and —
 // when the plan raced solver engines — prints the aggregated per-engine
-// win statistics on stderr and persists them as DIR/portfolio_stats.json,
-// which a later `campaign run -learn-from` uses to seed its portfolio.
+// win statistics on stderr.
 // merge -rescore recomputes each artifact's Solved/Equivalent verdicts
 // from its persisted key shortlist (planted-key membership, then the
 // equivalence miter) and rewrites changed artifacts — no attack re-runs.
@@ -56,7 +55,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/genbench"
 	"repro/internal/obs"
-	"repro/internal/sat"
 	"repro/internal/server"
 )
 
@@ -144,7 +142,6 @@ func cmdPlan(args []string) {
 	enc := fs.String("enc", "adder", "cardinality encoding: adder | seq")
 	solver := fs.String("solver", "", "solver engine spec for every attack and scoring miter (empty = baseline CDCL)")
 	portfolio := fs.String("portfolio", "", "race engines per solver query: integer width or engine list like internal,kissat,bdd")
-	adaptAfter := fs.Int64("adapt-after", 0, "retire an engine mid-run after it loses this many races without a win (0 = never)")
 	memoDir := fs.String("memo-dir", "", "record a persistent verdict-store directory in the plan: every shard run attaches the on-disk memo there (verdicts unchanged)")
 	suites := fs.String("suites", strings.Join(campaign.DefaultSuites(), ","), "report suites, comma-separated")
 	force := fs.Bool("force", false, "overwrite an existing, different plan")
@@ -159,7 +156,6 @@ func cmdPlan(args []string) {
 		SATIterCap: *iterCap,
 		Enc:        *enc,
 		Solver:     *solver,
-		AdaptAfter: *adaptAfter,
 		MemoDir:    *memoDir,
 		Suites:     strings.Split(*suites, ","),
 	}
@@ -205,12 +201,12 @@ func cmdPlan(args []string) {
 
 // shardFlags collects the flags shared by run and retry.
 type shardFlags struct {
-	shardIndex, shardCount, workers  *int
-	quiet, memo, diskMemo, steal     *bool
-	learnFrom, memoDir, trace, owner *string
-	timesFrom, solverOver            *string
-	memoMax                          *int64
-	lease, budget                    *time.Duration
+	shardIndex, shardCount, workers *int
+	quiet, memo, diskMemo, steal    *bool
+	memoDir, trace, owner           *string
+	timesFrom, solverOver           *string
+	memoMax                         *int64
+	lease, budget                   *time.Duration
 }
 
 // runFlags declares the flags shared by run and retry on fs.
@@ -230,7 +226,6 @@ func runFlags(fs *flag.FlagSet) shardFlags {
 		diskMemo:   fs.Bool("disk-memo", false, "persist the verdict cache under ARTIFACTS/memo, shared across shards and reruns (implies -memo; verdicts unchanged)"),
 		memoDir:    fs.String("memo-dir", "", "persistent verdict-store directory (implies -memo; overrides -disk-memo's default and the plan's memo_dir)"),
 		memoMax:    fs.Int64("memo-max-bytes", 0, "size cap for the on-disk verdict store before LRU eviction (0 = 1 GiB)"),
-		learnFrom:  fs.String("learn-from", "", "portfolio-stats JSON (e.g. a prior merge's portfolio_stats.json); reorders/prunes the racing engines"),
 		trace:      fs.String("trace", "", "write an NDJSON span trace of the shard to FILE (merge per-shard traces with `campaign merge -traces` or tracestat)"),
 	}
 }
@@ -279,7 +274,6 @@ func runShard(name string, args []string, retry bool) {
 		ShardIndex:     *f.shardIndex,
 		ShardCount:     *f.shardCount,
 		Workers:        *f.workers,
-		LearnFrom:      *f.learnFrom,
 		Memo:           *f.memo,
 		MemoDir:        memoDir,
 		MemoMaxBytes:   *f.memoMax,
@@ -327,7 +321,6 @@ func cmdMerge(args []string) {
 	dir, artifacts := dirFlags(fs)
 	allowPartial := fs.Bool("allow-partial", false, "render even if some cases have no artifact yet")
 	rescore := fs.Bool("rescore", false, "recompute Solved/Equivalent verdicts from each artifact's persisted key shortlist (planted-key membership, then the equivalence miter) and rewrite changed artifacts before rendering — no attack re-runs")
-	statsOut := fs.String("stats-out", "", "portfolio-stats JSON path (default DIR/portfolio_stats.json; \"-\" disables)")
 	traces := fs.String("traces", "", "per-shard trace files (comma-separated paths or globs); prints one merged tracestat view on stderr")
 	fs.Parse(args)
 	p := loadPlan(*dir)
@@ -351,19 +344,8 @@ func cmdMerge(args []string) {
 		fatalf("%v", err)
 	}
 	// Racing statistics stay off stdout so merges diff byte-identical
-	// against monolithic fallbench runs; the JSON snapshot feeds
-	// `campaign run -learn-from` on the next campaign.
-	if stats := m.WinStats(); len(stats) > 0 && *statsOut != "-" {
-		attack.FprintStats(os.Stderr, stats)
-		path := *statsOut
-		if path == "" {
-			path = filepath.Join(*dir, "portfolio_stats.json")
-		}
-		if err := sat.WriteStatsFile(path, stats); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "campaign: per-engine win statistics written to %s\n", path)
-	}
+	// against monolithic fallbench runs.
+	attack.FprintStats(os.Stderr, m.WinStats())
 	if st := m.MemoStats(); st != nil {
 		if st.DiskHits > 0 || st.Capped > 0 {
 			fmt.Fprintf(os.Stderr, "campaign: memo: %d memory hits / %d disk hits / %d misses across artifacts (%d capped)\n",

@@ -21,12 +21,6 @@
 //	               internal variants, a list (internal,kissat,bdd)
 //	               races heterogeneous backends; decided verdicts are
 //	               identical for every mix
-//	-learn-from F  reorder/prune the engine list from a prior run's
-//	               portfolio-stats file before racing
-//	-adapt-after N retire an engine mid-run once it has lost N races
-//	               without a win
-//	-stats-out F   persist the aggregated per-engine win statistics as
-//	               JSON (feeds -learn-from of a later run)
 //	-memo          share a cross-query verdict cache across every attack
 //	               and scoring miter (verdicts unchanged; hit statistics
 //	               and per-case encode/solve splits land on stderr)
@@ -60,30 +54,26 @@ import (
 	"repro/internal/exp"
 	"repro/internal/genbench"
 	"repro/internal/obs"
-	"repro/internal/sat"
 )
 
 func main() {
 	var (
-		table1     = flag.Bool("table1", false, "regenerate Table I")
-		fig5       = flag.String("fig5", "", "regenerate a Fig. 5 panel: hd0 | h8 | h4 | h3")
-		fig6       = flag.Bool("fig6", false, "regenerate Fig. 6")
-		summary    = flag.Bool("summary", false, "regenerate the §VI-B summary statistics")
-		scale      = flag.String("scale", "small", "experiment scale: paper | medium | small | tiny")
-		timeout    = flag.Duration("timeout", 5*time.Second, "per-attack time budget")
-		iterCap    = flag.Int("satcap", 500, "SAT attack iteration cap (0 = none)")
-		seed       = flag.Int64("seed", 2019, "base seed")
-		enc        = flag.String("enc", "adder", "cardinality encoding: adder | seq")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "suite cases run concurrently (1 = serial; output is identical either way)")
-		solver     = flag.String("solver", "", "solver engine spec for every attack and scoring miter (empty = baseline CDCL)")
-		portfolio  = flag.String("portfolio", "", "race engines per solver query: integer width or engine list like internal,kissat,bdd")
-		learnFrom  = flag.String("learn-from", "", "portfolio-stats JSON from a prior run; reorders/prunes the engine list before racing")
-		adaptAfter = flag.Int64("adapt-after", 0, "retire an engine mid-run after it loses this many races without a win (0 = never)")
-		statsOut   = flag.String("stats-out", "", "write the aggregated per-engine win statistics to this JSON file")
-		memo       = flag.Bool("memo", false, "share a cross-query verdict cache across every attack and scoring miter (verdicts unchanged; hit statistics on stderr)")
-		memoDir    = flag.String("memo-dir", "", "persist the verdict cache in DIR, shared across runs (implies -memo; verdicts unchanged)")
-		memoMax    = flag.Int64("memo-max-bytes", 0, "size cap for -memo-dir before LRU eviction (0 = 1 GiB)")
-		tracePath  = flag.String("trace", "", "write an NDJSON span trace of the whole suite to FILE (stdout unchanged; analyze with tracestat)")
+		table1    = flag.Bool("table1", false, "regenerate Table I")
+		fig5      = flag.String("fig5", "", "regenerate a Fig. 5 panel: hd0 | h8 | h4 | h3")
+		fig6      = flag.Bool("fig6", false, "regenerate Fig. 6")
+		summary   = flag.Bool("summary", false, "regenerate the §VI-B summary statistics")
+		scale     = flag.String("scale", "small", "experiment scale: paper | medium | small | tiny")
+		timeout   = flag.Duration("timeout", 5*time.Second, "per-attack time budget")
+		iterCap   = flag.Int("satcap", 500, "SAT attack iteration cap (0 = none)")
+		seed      = flag.Int64("seed", 2019, "base seed")
+		enc       = flag.String("enc", "adder", "cardinality encoding: adder | seq")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "suite cases run concurrently (1 = serial; output is identical either way)")
+		solver    = flag.String("solver", "", "solver engine spec for every attack and scoring miter (empty = baseline CDCL)")
+		portfolio = flag.String("portfolio", "", "race engines per solver query: integer width or engine list like internal,kissat,bdd")
+		memo      = flag.Bool("memo", false, "share a cross-query verdict cache across every attack and scoring miter (verdicts unchanged; hit statistics on stderr)")
+		memoDir   = flag.String("memo-dir", "", "persist the verdict cache in DIR, shared across runs (implies -memo; verdicts unchanged)")
+		memoMax   = flag.Int64("memo-max-bytes", 0, "size cap for -memo-dir before LRU eviction (0 = 1 GiB)")
+		tracePath = flag.String("trace", "", "write an NDJSON span trace of the whole suite to FILE (stdout unchanged; analyze with tracestat)")
 	)
 	flag.Parse()
 
@@ -97,24 +87,6 @@ func main() {
 	}
 	if err := cfg.ApplySolverFlags(*solver, *portfolio); err != nil {
 		fatalf("%v", err)
-	}
-	cfg.AdaptAfter = *adaptAfter
-	if len(cfg.Engines) > 0 {
-		if *learnFrom != "" {
-			prior, err := sat.ReadStatsFile(*learnFrom)
-			if err != nil {
-				fatalf("learn-from: %v", err)
-			}
-			cfg.Engines = sat.LearnedConfigs(cfg.Engines, prior, *adaptAfter)
-		}
-		if err := attack.NewSolverSetupEngines(cfg.Engines).Check(); err != nil {
-			fatalf("%v", err)
-		}
-		if *adaptAfter > 0 {
-			cfg.Adapt = sat.NewLedgerLabels(sat.EngineLabels(cfg.Engines))
-		}
-	} else if *adaptAfter > 0 || *learnFrom != "" {
-		fatalf("-adapt-after/-learn-from need a -portfolio engine list to act on")
 	}
 	if cfg.Memo, err = attack.NewMemoFromFlags(*memo, *memoDir, *memoMax); err != nil {
 		fatalf("%v", err)
@@ -212,14 +184,7 @@ func main() {
 	}
 	// Racing statistics go to stderr: stdout must stay verdict-only so
 	// portfolio runs diff byte-identical against single-engine runs.
-	if stats := exp.WinStats(allOuts, allFigs); len(stats) > 0 {
-		attack.FprintStats(os.Stderr, stats)
-		if *statsOut != "" {
-			if err := sat.WriteStatsFile(*statsOut, stats); err != nil {
-				fatalf("stats-out: %v", err)
-			}
-		}
-	}
+	attack.FprintStats(os.Stderr, exp.WinStats(allOuts, allFigs))
 	if cfg.Memo != nil {
 		attack.FprintMemoSummary(os.Stderr, cfg.Memo, cfg.Memo.Stats(), cfg.Memo.Len())
 	}

@@ -19,41 +19,20 @@ import (
 // This file is the construction point of the heterogeneous solver
 // system: sat holds the spec grammar (pure data), the backend packages
 // hold the engines, and SolverSetup — the only place that imports all
-// of them — turns parsed specs into SolverFactory closures, shares win
-// ledgers across every engine a run builds, and applies the adaptive
-// drop rule that retires chronically losing engines mid-campaign.
+// of them — turns parsed specs into SolverFactory closures and shares
+// one win ledger across every engine a run builds.
 
 // SolverSetup bundles a solver configuration into a SolverFactory, and
 // — when racing — accumulates per-engine win statistics across every
 // engine the factory builds. One setup typically spans one attack run
 // (or one harness case), so its WinStats describe that run.
-//
-// Two construction paths exist. NewSolverSetup (Base + Portfolio) is
-// the pre-heterogeneous form: N internal configurations derived by
-// sat.PortfolioConfigs. NewSolverSetupEngines (Specs) races an explicit
-// engine-spec list — internal configs, external DIMACS solvers, the
-// BDD engine — parsed from the -solver/-portfolio grammar.
 type SolverSetup struct {
-	// Base is the engine configuration (the zero value is the baseline
-	// CDCL configuration). Meaningful on the legacy path only.
-	Base sat.Config
-	// Portfolio is the number of racing engines per solver instance;
-	// values below 2 select a single engine. Legacy path only.
-	Portfolio int
-	// Specs, when non-empty, is the heterogeneous engine list; it
-	// overrides Base/Portfolio.
+	// Specs is the engine list — internal configs, external DIMACS
+	// solvers, the BDD engine — as resolved from the -solver/-portfolio
+	// grammar (sat.ResolveSolverFlags). One spec selects that engine;
+	// two or more race per query; none selects the default internal
+	// engine (a zero setup only carries Memo or a trace).
 	Specs []sat.EngineSpec
-	// AdaptAfter retires an engine spec from subsequently built
-	// portfolios once it has raced this many times without a single win
-	// while some other spec has won (0 = never retire). Dropping only
-	// redistributes racing effort — every surviving engine decides the
-	// same formulas — so verdicts are unaffected.
-	AdaptAfter int64
-	// Global, when non-nil, is a cross-run ledger (slots matching Specs)
-	// that also accumulates every race and, when set, drives the
-	// AdaptAfter decision — so losses observed in earlier cases of a
-	// campaign shard retire an engine for later ones.
-	Global *sat.Ledger
 	// Memo, when non-nil, wraps every engine the factory builds in a
 	// verdict-memoizing layer (sat.MemoEngine) sharing this cache, so
 	// identical (prefix, delta, assumptions) queries — across cells,
@@ -62,7 +41,6 @@ type SolverSetup struct {
 	// setup (MemoStats).
 	Memo *sat.Memo
 
-	configs []sat.Config
 	ledger  *sat.Ledger
 	memoCtr sat.MemoCounters
 	solveNS atomic.Int64
@@ -92,32 +70,20 @@ func (s *SolverSetup) TraceTo(sp *obs.Span) {
 	s.trace = sp
 }
 
-// NewSolverSetup derives the portfolio configs (sat.PortfolioConfigs)
-// and win-stats ledger for the requested width — the legacy
-// homogeneous path, byte-compatible with pre-heterogeneous artifacts.
-func NewSolverSetup(base sat.Config, portfolio int) *SolverSetup {
-	s := &SolverSetup{Base: base, Portfolio: portfolio}
-	if portfolio >= 2 {
-		s.configs = sat.PortfolioConfigs(base, portfolio)
-		s.ledger = sat.NewLedger(s.configs)
-	}
-	return s
-}
-
 // NewSolverSetupEngines builds a setup racing the given engine specs
 // (a single spec selects that engine without racing or accounting).
 func NewSolverSetupEngines(specs []sat.EngineSpec) *SolverSetup {
 	s := &SolverSetup{Specs: specs}
 	if len(specs) >= 2 {
-		s.ledger = sat.NewLedgerLabels(sat.EngineLabels(specs))
+		s.ledger = sat.NewLedger(sat.EngineLabels(specs))
 	}
 	return s
 }
 
 // Check verifies the setup is runnable on this machine — every
-// process-engine binary resolves on PATH. Entry points call it once so
-// a missing solver fails fast instead of surfacing as a stream of
-// Unknown verdicts.
+// process-engine binary resolves on PATH. Flag resolution
+// (SolverSetupFromFlags) runs it, so a missing solver fails fast
+// instead of surfacing as a stream of Unknown verdicts.
 func (s *SolverSetup) Check() error {
 	if s == nil {
 		return nil
@@ -210,33 +176,6 @@ func (s *SolverSetup) Close() error {
 	return first
 }
 
-// activeSlots returns the Specs indices still worth racing under the
-// AdaptAfter rule, always at least one.
-func (s *SolverSetup) activeSlots() []int {
-	all := make([]int, len(s.Specs))
-	for i := range all {
-		all[i] = i
-	}
-	led := s.Global
-	if led == nil {
-		led = s.ledger
-	}
-	if s.AdaptAfter <= 0 || led == nil {
-		return all
-	}
-	act := led.Active(s.AdaptAfter)
-	keep := all[:0]
-	for i, a := range act {
-		if i < len(s.Specs) && a {
-			keep = append(keep, i)
-		}
-	}
-	if len(keep) == 0 {
-		return all
-	}
-	return keep
-}
-
 // Factory returns the SolverFactory realizing the setup; a nil setup
 // yields a nil factory (the default engine). The factory is safe for
 // concurrent use: portfolios built by different workers share the
@@ -245,33 +184,20 @@ func (s *SolverSetup) Factory() SolverFactory {
 	if s == nil {
 		return nil
 	}
-	if len(s.Specs) > 0 {
-		return func(ctx context.Context) sat.Engine {
-			active := s.activeSlots()
-			if len(s.Specs) == 1 {
-				return s.wrap(s.buildEngine(ctx, 0, s.Specs[0]), ctx)
-			}
-			engines := make([]sat.Engine, len(active))
-			for i, slot := range active {
-				engines[i] = s.buildEngine(ctx, slot, s.Specs[slot])
-			}
-			p := sat.NewEnginePortfolio(engines, s.ledger, s.Global)
-			p.SetLedgerSlots(active)
-			p.SetContext(ctx)
-			return s.wrap(p, ctx)
-		}
-	}
 	return func(ctx context.Context) sat.Engine {
-		if s.Portfolio >= 2 {
-			p := sat.NewPortfolio(s.configs, s.ledger)
-			p.SetContext(ctx)
-			return s.wrap(p, ctx)
+		switch len(s.Specs) {
+		case 0:
+			return s.wrap(s.buildEngine(ctx, 0, sat.InternalSpec(sat.Config{})), ctx)
+		case 1:
+			return s.wrap(s.buildEngine(ctx, 0, s.Specs[0]), ctx)
 		}
-		e := sat.NewWith(s.Base)
-		if ctx != nil {
-			e.SetContext(ctx)
+		engines := make([]sat.Engine, len(s.Specs))
+		for i, spec := range s.Specs {
+			engines[i] = s.buildEngine(ctx, i, spec)
 		}
-		return s.wrap(e, ctx)
+		p := sat.NewEnginePortfolio(engines, s.ledger)
+		p.SetContext(ctx)
+		return s.wrap(p, ctx)
 	}
 }
 
@@ -418,63 +344,32 @@ func unwrapEngine(e sat.Engine) sat.Engine {
 	}
 }
 
-// SolverSetupFromSpec resolves a legacy -solver/-portfolio flag pair:
-// the spec is parsed with sat.ParseConfig, and both flags unset yield a
-// nil setup (the attacks' built-in default engine).
-func SolverSetupFromSpec(spec string, portfolio int) (*SolverSetup, error) {
-	if spec == "" && portfolio < 2 {
-		return nil, nil
-	}
-	cfg, err := sat.ParseConfig(spec)
-	if err != nil {
-		return nil, err
-	}
-	return NewSolverSetup(cfg, portfolio), nil
-}
-
-// SolverSetupFromFlags resolves the full -solver/-portfolio flag
-// grammar (sat.ResolveSolverFlags): an integer -portfolio derives N
-// internal variants of the -solver base config, an engine list races
-// heterogeneous backends. Both flags unset (or width < 2 with a
-// default solver) yield a nil setup: the attacks' built-in default
-// engine, byte-identical to not passing the flags at all.
+// SolverSetupFromFlags resolves the -solver/-portfolio flag grammar
+// (sat.ResolveSolverFlags): an integer -portfolio races N internal
+// variants of the -solver config, an engine list races heterogeneous
+// backends. Flags resolving to the default engine yield a nil setup,
+// byte-identical to not passing them at all. The setup is checked
+// (Check), so a missing solver binary fails here, not mid-run.
 func SolverSetupFromFlags(solver, portfolio string) (*SolverSetup, error) {
-	base, width, specs, err := sat.ResolveSolverFlags(solver, portfolio)
-	if err != nil {
+	specs, err := sat.ResolveSolverFlags(solver, portfolio)
+	if err != nil || specs == nil {
 		return nil, err
 	}
-	if specs != nil {
-		return NewSolverSetupEngines(specs), nil
+	s := NewSolverSetupEngines(specs)
+	if err := s.Check(); err != nil {
+		return nil, err
 	}
-	if solver == "" && width < 2 {
-		return nil, nil
-	}
-	return NewSolverSetup(base, width), nil
+	return s, nil
 }
 
 // EngineLabels returns the canonical label of every engine the setup
-// resolves to, in racing order — ["internal"] for a nil setup or the
-// all-default single engine, the per-variant config strings for a
-// derived-width portfolio, the spec labels for a heterogeneous list.
+// resolves to, in racing order — ["internal"] for a nil or zero setup.
 // This is the "engines" field of ResultJSON and of attackd artifacts.
 func (s *SolverSetup) EngineLabels() []string {
-	if s == nil {
+	if s == nil || len(s.Specs) == 0 {
 		return []string{"internal"}
 	}
-	if len(s.Specs) > 0 {
-		return sat.EngineLabels(s.Specs)
-	}
-	if s.Portfolio >= 2 {
-		labels := make([]string, len(s.configs))
-		for i, c := range s.configs {
-			labels[i] = c.String()
-		}
-		return labels
-	}
-	if lbl := s.Label(); lbl != "" {
-		return []string{lbl}
-	}
-	return []string{"internal"}
+	return sat.EngineLabels(s.Specs)
 }
 
 // FprintStats writes one racing-statistics line per engine — the
@@ -502,25 +397,15 @@ func (s *SolverSetup) WinStats() []sat.ConfigStats {
 }
 
 // Label returns a human/artifact-readable description of the setup:
-// "" for the all-default single engine (so serialized outcomes stay
-// byte-identical to pre-portfolio ones), the engine spec for a single
-// non-default engine, "portfolio(N) of <spec>" for derived-width
-// racing, and "portfolio(<spec> | ...)" for heterogeneous racing.
+// "" for the default engine (so serialized outcomes stay byte-identical
+// to pre-portfolio ones), the engine spec for a single engine, and
+// "portfolio(<spec> | ...)" for racing.
 func (s *SolverSetup) Label() string {
-	if s == nil {
+	if s == nil || len(s.Specs) == 0 {
 		return ""
 	}
-	if len(s.Specs) > 0 {
-		if len(s.Specs) == 1 {
-			return s.Specs[0].String()
-		}
-		return fmt.Sprintf("portfolio(%s)", strings.Join(sat.EngineLabels(s.Specs), " | "))
+	if len(s.Specs) == 1 {
+		return s.Specs[0].String()
 	}
-	if s.Portfolio >= 2 {
-		return fmt.Sprintf("portfolio(%d) of %s", s.Portfolio, s.Base.String())
-	}
-	if s.Base != (sat.Config{}) && s.Base != sat.DefaultConfig() {
-		return s.Base.String()
-	}
-	return ""
+	return fmt.Sprintf("portfolio(%s)", strings.Join(sat.EngineLabels(s.Specs), " | "))
 }

@@ -14,16 +14,16 @@ func TestSolverSetupFromFlags(t *testing.T) {
 	if err != nil || s != nil {
 		t.Fatalf("unset flags: %+v, %v", s, err)
 	}
-	// Legacy integer width over an internal base.
+	// Integer width over an internal base.
 	s, err = SolverSetupFromFlags("seed=3,restart=geometric", "3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Portfolio != 3 || s.Base.Seed != 3 || len(s.Specs) != 0 {
-		t.Errorf("legacy form: %+v", s)
+	if len(s.Specs) != 3 || s.Specs[0].Config.Seed != 3 || s.Specs[0].Config.Restart != sat.RestartGeometric {
+		t.Errorf("width form: %+v", s.Specs)
 	}
-	if !strings.HasPrefix(s.Label(), "portfolio(3) of ") {
-		t.Errorf("legacy label: %q", s.Label())
+	if !strings.HasPrefix(s.Label(), "portfolio(seed=3,restart=geometric | ") {
+		t.Errorf("width label: %q", s.Label())
 	}
 	// "0"/"1" widths with a default solver collapse to nil too.
 	if s, err = SolverSetupFromFlags("", "1"); err != nil || s != nil {
@@ -80,6 +80,10 @@ func TestSolverSetupCheck(t *testing.T) {
 	if err := missing.Check(); err == nil {
 		t.Error("missing binary not reported")
 	}
+	// Resolving flags checks too.
+	if s, err := SolverSetupFromFlags("definitely-not-a-sat-solver-7f3a", ""); err == nil {
+		t.Errorf("flag resolution accepted a missing binary: %+v", s)
+	}
 }
 
 // loadPigeonhole fills an engine with an UNSAT pigeonhole instance.
@@ -130,77 +134,48 @@ func TestHeterogeneousFactoryVerdicts(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDrop: an engine that keeps losing is retired from newly
-// built portfolios after AdaptAfter races, and its ledger slot stays in
-// the stats (frozen), so the drop is visible in artifacts.
-func TestAdaptiveDrop(t *testing.T) {
-	setup := NewSolverSetupEngines([]sat.EngineSpec{
-		sat.InternalSpec(sat.Config{}),
-		{Kind: sat.EngineBDD, MaxNodes: 8}, // blows up instantly: never wins
-	})
-	setup.AdaptAfter = 2
-	f := setup.Factory()
-	for i := 0; i < 3; i++ {
-		e := f(context.Background())
-		p, ok := unwrapEngine(e).(*sat.Portfolio)
-		if !ok {
-			t.Fatalf("round %d: factory built %T, want *sat.Portfolio", i, unwrapEngine(e))
-		}
-		if i < 2 && p.Size() != 2 {
-			t.Fatalf("round %d: portfolio size %d, want 2", i, p.Size())
-		}
-		if i == 2 && p.Size() != 1 {
-			t.Fatalf("after %d losses the bdd engine must be dropped; size %d", i, p.Size())
-		}
-		loadPigeonhole(e, 5, 4)
-		if got := e.Solve(); got != sat.Unsat {
-			t.Fatalf("round %d: verdict %v", i, got)
-		}
+// TestSolverSetupWidthResolution: an integer -portfolio resolves to one
+// internal spec per sat.PortfolioConfigs variant — labeled exactly as
+// the configs — and races them in one portfolio; every spelling of the
+// default engine resolves to a nil setup.
+func TestSolverSetupWidthResolution(t *testing.T) {
+	s, err := SolverSetupFromFlags("seed=3", "3")
+	if err != nil {
+		t.Fatal(err)
 	}
-	stats := setup.WinStats()
-	if stats[1].Races != 2 || stats[1].Wins != 0 {
-		t.Errorf("dropped engine's slot: %+v", stats[1])
+	configs := sat.PortfolioConfigs(sat.Config{Seed: 3}, 3)
+	labels := s.EngineLabels()
+	if len(s.Specs) != 3 || len(labels) != 3 {
+		t.Fatalf("specs %+v, labels %v", s.Specs, labels)
 	}
-	if stats[0].Races != 3 || stats[0].Wins != 3 {
-		t.Errorf("surviving engine's slot: %+v", stats[0])
-	}
-}
-
-// TestGlobalLedgerDrivesDrop: with a Global ledger attached, losses
-// recorded by one setup retire the engine in a different setup sharing
-// the ledger — the cross-case campaign mechanism.
-func TestGlobalLedgerDrivesDrop(t *testing.T) {
-	specs := []sat.EngineSpec{
-		sat.InternalSpec(sat.Config{}),
-		{Kind: sat.EngineBDD, MaxNodes: 8},
-	}
-	global := sat.NewLedgerLabels(sat.EngineLabels(specs))
-
-	first := NewSolverSetupEngines(specs)
-	first.AdaptAfter, first.Global = 2, global
-	f := first.Factory()
-	for i := 0; i < 2; i++ {
-		e := f(context.Background())
-		loadPigeonhole(e, 5, 4)
-		if got := e.Solve(); got != sat.Unsat {
-			t.Fatalf("warm-up %d: %v", i, got)
+	for i, c := range configs {
+		if s.Specs[i].Kind != sat.EngineInternal || labels[i] != c.String() {
+			t.Errorf("engine %d: %+v labeled %q, want internal %q", i, s.Specs[i], labels[i], c.String())
 		}
 	}
 
-	second := NewSolverSetupEngines(specs)
-	second.AdaptAfter, second.Global = 2, global
-	e := second.Factory()(context.Background())
+	single := sat.New()
+	loadPigeonhole(single, 5, 4)
+	want := single.Solve()
+	e := s.Factory()(context.Background())
 	p, ok := unwrapEngine(e).(*sat.Portfolio)
-	if !ok {
-		t.Fatalf("fresh setup built %T, want *sat.Portfolio", unwrapEngine(e))
+	if !ok || p.Size() != 3 {
+		t.Fatalf("factory built %T, want a 3-member *sat.Portfolio", unwrapEngine(e))
 	}
-	if p.Size() != 1 {
-		t.Fatalf("fresh setup still races the chronic loser: size %d", p.Size())
+	loadPigeonhole(e, 5, 4)
+	if got := e.Solve(); got != want {
+		t.Errorf("portfolio verdict %v, single engine %v", got, want)
 	}
-	// The fresh setup's own per-run stats start clean.
-	for _, cs := range second.WinStats() {
-		if cs.Races != 0 {
-			t.Errorf("fresh per-run ledger pre-seeded: %+v", cs)
+	stats := s.WinStats()
+	if len(stats) != 3 || stats[0].Races != 1 || stats[0].Wins+stats[1].Wins+stats[2].Wins != 1 {
+		t.Errorf("win stats: %+v", stats)
+	}
+
+	for _, flags := range [][2]string{
+		{"", ""}, {"seed=0", ""}, {"internal", ""}, {"internal:seed=0", "1"}, {"", "0"}, {" ", " 1 "},
+	} {
+		if s, err := SolverSetupFromFlags(flags[0], flags[1]); err != nil || s != nil {
+			t.Errorf("default engine %q/%q: %+v, %v", flags[0], flags[1], s, err)
 		}
 	}
 }

@@ -50,6 +50,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/exp"
 	"repro/internal/genbench"
+	"repro/internal/sat"
 )
 
 // PlanVersion is bumped whenever the plan schema or case enumeration
@@ -89,9 +90,9 @@ type Config struct {
 	// changes the recorded solver_config and portfolio_stats artifact
 	// fields. omitempty keeps hashes of pre-portfolio plans unchanged.
 	Solver string `json:"solver,omitempty"`
-	// Portfolio races this many configured internal-engine variants per
-	// solver query (< 2 = single engine); requires an internal (or
-	// empty) Solver spec.
+	// Portfolio races this many internal-engine variants of the Solver
+	// config per solver query (sat.PortfolioConfigs; < 2 = single
+	// engine); requires an internal (or empty) Solver spec.
 	Portfolio int `json:"portfolio,omitempty"`
 	// PortfolioEngines, when set, races an explicit heterogeneous
 	// engine list instead (sat.ParseEngineList grammar, e.g.
@@ -99,11 +100,6 @@ type Config struct {
 	// Solver base config. omitempty keeps pre-heterogeneous plan hashes
 	// unchanged.
 	PortfolioEngines string `json:"portfolio_engines,omitempty"`
-	// AdaptAfter retires a PortfolioEngines entry mid-run once it has
-	// raced this many times without a win (0 = never). Dropping only
-	// redistributes racing effort, never verdicts, but it is part of
-	// the plan because it changes the recorded portfolio_stats.
-	AdaptAfter int64 `json:"adapt_after,omitempty"`
 	// MemoDir, when non-empty, is the plan's default persistent
 	// verdict-store directory: every shard run attaches the on-disk memo
 	// tier there unless overridden at run time. The memo only changes
@@ -117,6 +113,9 @@ type Config struct {
 }
 
 // ExpConfig resolves the serialized config into a runnable exp.Config.
+// Engine specs resolve as pure data (sat.ResolveSolverFlags), so a plan
+// naming an external solver can be made and merged on a machine
+// without that binary; Run checks the binaries where the engines run.
 func (c Config) ExpConfig() (exp.Config, error) {
 	enc, err := cnf.ParseCardEncoding(c.Enc)
 	if err != nil {
@@ -128,24 +127,29 @@ func (c Config) ExpConfig() (exp.Config, error) {
 		Timeout:    c.Timeout,
 		Enc:        enc,
 		SATIterCap: c.SATIterCap,
-		AdaptAfter: c.AdaptAfter,
 	}
-	portfolio := ""
-	switch {
-	case c.PortfolioEngines != "" && c.Portfolio >= 2:
-		return exp.Config{}, fmt.Errorf("campaign: portfolio and portfolio_engines are mutually exclusive")
-	case c.PortfolioEngines != "":
-		portfolio = c.PortfolioEngines
-	case c.Portfolio != 0:
-		portfolio = strconv.Itoa(c.Portfolio)
-	}
-	if err := cfg.ApplySolverFlags(c.Solver, portfolio); err != nil {
+	solver, portfolio, err := c.solverFlags()
+	if err != nil {
 		return exp.Config{}, err
 	}
-	if c.AdaptAfter > 0 && len(cfg.Engines) < 2 {
-		return exp.Config{}, fmt.Errorf("campaign: adapt_after needs a portfolio_engines list to adapt")
+	if cfg.Engines, err = sat.ResolveSolverFlags(solver, portfolio); err != nil {
+		return exp.Config{}, err
 	}
 	return cfg, nil
+}
+
+// solverFlags renders the config's solver fields as the
+// -solver/-portfolio flag pair they were planned from.
+func (c Config) solverFlags() (solver, portfolio string, err error) {
+	switch {
+	case c.PortfolioEngines != "" && c.Portfolio >= 2:
+		return "", "", fmt.Errorf("campaign: portfolio and portfolio_engines are mutually exclusive")
+	case c.PortfolioEngines != "":
+		return c.Solver, c.PortfolioEngines, nil
+	case c.Portfolio != 0:
+		return c.Solver, strconv.Itoa(c.Portfolio), nil
+	}
+	return c.Solver, "", nil
 }
 
 // Case is one planned unit of work with a stable ID. SpecIdx indexes

@@ -56,8 +56,8 @@ func (m *MergeResult) Complete() bool { return len(m.Missing) == 0 }
 // WinStats aggregates the per-engine racing statistics recorded across
 // every artifact (attack outcomes, Fig. 6 key-confirmation pipelines
 // and their SAT-attack halves), keyed by engine label in plan order —
-// the campaign-level ledger snapshot that cmd/campaign merge prints and
-// persists for -learn-from. Nil when the campaign did not race.
+// the campaign-level ledger snapshot that cmd/campaign merge prints on
+// stderr. Nil when the campaign did not race.
 func (m *MergeResult) WinStats() []sat.ConfigStats {
 	var groups [][]sat.ConfigStats
 	for _, pc := range m.Plan.Cases {

@@ -35,13 +35,6 @@ type RunOptions struct {
 	Workers int
 	// Log, when non-nil, receives one progress line per case.
 	Log io.Writer
-	// LearnFrom is a portfolio-stats JSON file (written by campaign
-	// merge or fallbench -stats-out) whose recorded win statistics
-	// reorder — and, with the plan's AdaptAfter, prune — the engine
-	// list before racing (sat.LearnedConfigs). Learning redistributes
-	// racing effort only; verdicts and artifacts' verdict fields are
-	// unaffected.
-	LearnFrom string
 	// Memo shares one cross-query verdict cache across the shard's
 	// cases (sat.NewMemo). Verdicts are unchanged — memoized artifacts
 	// additionally carry solve-time and hit/miss diagnostics, which a
@@ -163,25 +156,14 @@ func Run(ctx context.Context, plan *Plan, artifactDir string, opts RunOptions) (
 	if err != nil {
 		return nil, err
 	}
-	expCfg.Workers = opts.Workers
-	if len(expCfg.Engines) > 0 {
-		if opts.LearnFrom != "" {
-			prior, err := sat.ReadStatsFile(opts.LearnFrom)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: learn-from: %w", err)
-			}
-			expCfg.Engines = sat.LearnedConfigs(expCfg.Engines, prior, plan.Config.AdaptAfter)
-		}
-		// Fail fast on missing solver binaries (instead of a shard full of
-		// Unknown verdicts), and share one ledger across the shard's cases
-		// so chronic losers retire mid-run.
-		if err := attack.NewSolverSetupEngines(expCfg.Engines).Check(); err != nil {
-			return nil, err
-		}
-		if plan.Config.AdaptAfter > 0 {
-			expCfg.Adapt = sat.NewLedgerLabels(sat.EngineLabels(expCfg.Engines))
-		}
+	// Resolve the engines again through the checked path: a solver
+	// binary missing on this machine fails fast instead of as a shard
+	// full of Unknown verdicts.
+	solver, portfolio, _ := planCfg.solverFlags()
+	if err := expCfg.ApplySolverFlags(solver, portfolio); err != nil {
+		return nil, err
 	}
+	expCfg.Workers = opts.Workers
 	memoDir := opts.MemoDir
 	if memoDir == "" {
 		memoDir = plan.Config.MemoDir

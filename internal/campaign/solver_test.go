@@ -38,18 +38,18 @@ func TestPlanSolverConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ec.Portfolio != 3 || ec.Solver.Seed != 3 {
-		t.Errorf("ExpConfig lost solver settings: %+v portfolio %d", ec.Solver, ec.Portfolio)
+	if len(ec.Engines) != 3 || ec.Engines[0].Config.Seed != 3 || ec.Engines[0].Config.Restart != sat.RestartGeometric {
+		t.Errorf("ExpConfig lost solver settings: %+v", ec.Engines)
 	}
 
-	// Default (empty) spec resolves to the zero config so artifacts stay
+	// Default (empty) spec resolves to no engine list so artifacts stay
 	// label-free.
 	ecDefault, err := p1.Config.ExpConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ecDefault.Portfolio != 0 || ecDefault.Solver.RestartBase != 0 {
-		t.Errorf("default plan must keep the zero solver config, got %+v", ecDefault.Solver)
+	if ecDefault.Engines != nil {
+		t.Errorf("default plan must select the default engine, got %+v", ecDefault.Engines)
 	}
 
 	bad := base
@@ -72,7 +72,6 @@ func TestPlanHeterogeneousEngines(t *testing.T) {
 	het := base
 	het.Solver = "seed=5"
 	het.PortfolioEngines = "internal,bdd:max-nodes=1<<18"
-	het.AdaptAfter = 10
 	p, err := NewPlan(het)
 	if err != nil {
 		t.Fatal(err)
@@ -83,9 +82,6 @@ func TestPlanHeterogeneousEngines(t *testing.T) {
 	}
 	if len(ec.Engines) != 2 || ec.Engines[0].Config.Seed != 5 || ec.Engines[1].Kind != sat.EngineBDD {
 		t.Errorf("engines lost in resolution: %+v", ec.Engines)
-	}
-	if ec.AdaptAfter != 10 {
-		t.Errorf("adapt_after lost: %d", ec.AdaptAfter)
 	}
 
 	// A single non-internal -solver also lands in Engines.
@@ -104,11 +100,10 @@ func TestPlanHeterogeneousEngines(t *testing.T) {
 		"widthAndList":  {Portfolio: 3, PortfolioEngines: "internal,bdd"},
 		"externalBase":  {Solver: "kissat", PortfolioEngines: "internal,bdd"},
 		"widthExternal": {Solver: "kissat", Portfolio: 3},
-		"adaptNoList":   {Solver: "seed=1", AdaptAfter: 5},
 	} {
 		cfg := base
-		cfg.Solver, cfg.Portfolio, cfg.PortfolioEngines, cfg.AdaptAfter =
-			bad.Solver, bad.Portfolio, bad.PortfolioEngines, bad.AdaptAfter
+		cfg.Solver, cfg.Portfolio, cfg.PortfolioEngines =
+			bad.Solver, bad.Portfolio, bad.PortfolioEngines
 		if _, err := NewPlan(cfg); err == nil {
 			t.Errorf("%s: accepted at plan time", name)
 		}
@@ -134,10 +129,9 @@ func TestPlanHashBackwardCompatible(t *testing.T) {
 }
 
 // TestCampaignHeterogeneousMatchesDefault: a campaign racing
-// internal+bdd engines (with mid-run adaptation) renders the same
-// verdict report as the default single-engine campaign, records
-// portfolio stats under spec labels, aggregates them in WinStats, and
-// its stats file feeds a learned re-run.
+// internal+bdd engines renders the same verdict report as the default
+// single-engine campaign, records portfolio stats under spec labels,
+// and aggregates them in WinStats.
 func TestCampaignHeterogeneousMatchesDefault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two tiny campaigns")
@@ -172,7 +166,6 @@ func TestCampaignHeterogeneousMatchesDefault(t *testing.T) {
 
 	hetCfg := tinyCampaignConfig("summary")
 	hetCfg.PortfolioEngines = "internal,bdd:max-nodes=1<<16"
-	hetCfg.AdaptAfter = 50
 	hetReport, hetMerge := run(hetCfg, RunOptions{Workers: 2})
 	if hetReport != defReport {
 		t.Errorf("heterogeneous campaign report differs from default:\n--- default\n%s\n--- heterogeneous\n%s", defReport, hetReport)
@@ -183,16 +176,5 @@ func TestCampaignHeterogeneousMatchesDefault(t *testing.T) {
 	}
 	if stats[0].Races == 0 {
 		t.Error("no races recorded")
-	}
-
-	// Learned re-run: persist the snapshot, re-run from scratch with
-	// -learn-from, and get the same report again.
-	statsPath := filepath.Join(t.TempDir(), "portfolio_stats.json")
-	if err := sat.WriteStatsFile(statsPath, stats); err != nil {
-		t.Fatal(err)
-	}
-	learnedReport, _ := run(hetCfg, RunOptions{Workers: 2, LearnFrom: statsPath})
-	if learnedReport != defReport {
-		t.Error("learned campaign report differs from default")
 	}
 }

@@ -140,36 +140,21 @@ type Config struct {
 	// intra-attack parallelism pinned to 1, and results merge in case
 	// order.
 	Workers int
-	// Solver configures the SAT engine behind every attack query and
-	// scoring miter; the zero value is the baseline single engine.
-	Solver sat.Config
-	// Portfolio races this many differently-configured engines per
-	// solver query, first verdict wins (< 2 disables racing). Racing
-	// never changes verdicts — every engine decides the same formula —
-	// only the runtime distribution; per-config win statistics land in
-	// each Outcome.
-	Portfolio int
-	// Engines, when non-empty, selects an explicit (possibly
-	// heterogeneous) engine list raced per query — internal configs,
-	// external DIMACS solvers, the BDD engine — and overrides
-	// Solver/Portfolio. Entry points that learn from prior runs apply
-	// sat.LearnedConfigs to this list before building the config.
+	// Engines selects the SAT engines behind every attack query and
+	// scoring miter, as resolved from the -solver/-portfolio grammar
+	// (ApplySolverFlags): one spec selects that engine, two or more —
+	// internal configs, external DIMACS solvers, the BDD engine — race
+	// per query, first verdict wins. Nil is the baseline single engine.
+	// Racing never changes verdicts — every engine decides the same
+	// formula — only the runtime distribution; per-engine win
+	// statistics land in each Outcome.
 	Engines []sat.EngineSpec
-	// AdaptAfter retires an Engines entry from later-built portfolios
-	// once it has raced this many times without a win (0 = never); see
-	// attack.SolverSetup.AdaptAfter.
-	AdaptAfter int64
-	// Adapt is the runtime-only cross-case ledger (slots matching
-	// Engines) that accumulates every race of the run and drives the
-	// AdaptAfter decision across cases; nil confines adaptation to each
-	// single attack run. Like Workers it is never serialized.
-	Adapt *sat.Ledger
 	// Memo is the runtime-only cross-query verdict cache shared by every
 	// solver the run builds (sat.NewMemo); nil disables memoization.
 	// Attaching a memo forces a solver setup even for otherwise-default
 	// configs, so memoized outcomes carry solve-time and hit/miss fields
 	// (verdicts and keys are unchanged — the memo replays query history
-	// on misses). Like Workers and Adapt it is never serialized.
+	// on misses). Like Workers it is never serialized.
 	Memo *sat.Memo
 	// Trace is the runtime-only parent span of the run: each unit gets
 	// a child span carried through its context into the grid cells,
@@ -192,15 +177,19 @@ type Config struct {
 	Gate func(Unit) bool
 }
 
-// ApplySolverFlags resolves the -solver/-portfolio flag grammar
-// (sat.ResolveSolverFlags — the same resolution the attack CLIs use)
-// into the config's Solver/Portfolio/Engines fields.
+// ApplySolverFlags resolves the -solver/-portfolio flag grammar into
+// Engines through attack.SolverSetupFromFlags — the same resolution,
+// and the same check that every solver binary is on PATH, the attack
+// CLIs use.
 func (cfg *Config) ApplySolverFlags(solver, portfolio string) error {
-	base, width, specs, err := sat.ResolveSolverFlags(solver, portfolio)
+	setup, err := attack.SolverSetupFromFlags(solver, portfolio)
 	if err != nil {
 		return err
 	}
-	cfg.Solver, cfg.Portfolio, cfg.Engines = base, width, specs
+	cfg.Engines = nil
+	if setup != nil {
+		cfg.Engines = setup.Specs
+	}
 	return nil
 }
 
@@ -210,22 +199,13 @@ func (cfg *Config) ApplySolverFlags(solver, portfolio string) error {
 // engine), keeping default outcomes byte-identical to pre-portfolio
 // artifacts.
 func (cfg Config) solverSetup() *attack.SolverSetup {
-	var s *attack.SolverSetup
-	switch {
-	case len(cfg.Engines) > 0:
-		s = attack.NewSolverSetupEngines(cfg.Engines)
-		s.AdaptAfter = cfg.AdaptAfter
-		s.Global = cfg.Adapt
-	case cfg.Portfolio >= 2 || cfg.Solver != (sat.Config{}):
-		s = attack.NewSolverSetup(cfg.Solver, cfg.Portfolio)
-	case cfg.Memo != nil || cfg.Trace != nil:
-		// A zero-value setup builds exactly the default engine, so the
-		// memo or tracer can attach without changing verdicts or
-		// artifacts beyond the memo/solve-time fields themselves.
-		s = &attack.SolverSetup{}
-	default:
+	if len(cfg.Engines) == 0 && cfg.Memo == nil && cfg.Trace == nil {
 		return nil
 	}
+	// With no Engines the setup builds exactly the default engine, so
+	// the memo or tracer can attach without changing verdicts or
+	// artifacts beyond the memo/solve-time fields themselves.
+	s := attack.NewSolverSetupEngines(cfg.Engines)
 	s.Memo = cfg.Memo
 	return s
 }
@@ -404,7 +384,7 @@ type Outcome struct {
 	// (attack.SolverSetup.Label form); empty for the baseline single
 	// engine, so default artifacts stay byte-identical to older ones.
 	SolverConfig string `json:"solver_config,omitempty"`
-	// PortfolioStats carries the per-config win/conflict accounting
+	// PortfolioStats carries the per-engine win/conflict accounting
 	// accumulated across this run's solver queries (attack and scoring
 	// miters) when portfolio racing was enabled. Wins and conflicts are
 	// scheduling-dependent diagnostics; verdict fields never are.
@@ -422,8 +402,8 @@ type Outcome struct {
 
 // WinStats aggregates the per-engine racing statistics recorded across
 // outcomes and Fig. 6 results (label-keyed, first-appearance order) —
-// the summary fallbench prints on stderr and campaign merge persists
-// for learned portfolios. Nil when nothing raced.
+// the summary fallbench and campaign merge print on stderr. Nil when
+// nothing raced.
 func WinStats(outs []Outcome, figs []Fig6CaseResult) []sat.ConfigStats {
 	var groups [][]sat.ConfigStats
 	for i := range outs {

@@ -245,7 +245,7 @@ func TestCancelledBuildDoesNotDropClauses(t *testing.T) {
 // member blows its budget, the race still decides via the internal
 // engine.
 func TestPortfolioFallthrough(t *testing.T) {
-	ledger := sat.NewLedgerLabels([]string{"seed=0", "bdd"})
+	ledger := sat.NewLedger([]string{"seed=0", "bdd"})
 	p := sat.NewEnginePortfolio([]sat.Engine{sat.New(), New(8)}, ledger)
 	pigeonhole(p, 5, 4)
 	if got := p.Solve(); got != sat.Unsat {

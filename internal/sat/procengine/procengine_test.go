@@ -421,7 +421,7 @@ func TestPortfolioWithProcessEngine(t *testing.T) {
 	for _, inst := range instances() {
 		p := sat.NewEnginePortfolio(
 			[]sat.Engine{sat.New(), New(stub)},
-			sat.NewLedgerLabels([]string{"internal", "stub"}),
+			sat.NewLedger([]string{"internal", "stub"}),
 		)
 		inst.load(p)
 		if got := p.Solve(); got != inst.want {

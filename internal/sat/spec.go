@@ -1,12 +1,11 @@
 package sat
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
+	"math"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // This file defines the solver-spec grammar shared by every -solver and
@@ -71,8 +70,7 @@ func InternalSpec(cfg Config) EngineSpec {
 
 // String renders the canonical spec, which doubles as the engine's key
 // in portfolio win statistics. Internal engines render as their bare
-// Config.String() — exactly the pre-heterogeneous ledger labels, so
-// learned-portfolio matching spans runs of either vintage.
+// Config.String(), so InternalSpec(c).String() == c.String().
 func (s EngineSpec) String() string {
 	switch s.Kind {
 	case EngineProcess:
@@ -107,9 +105,10 @@ func EngineLabels(specs []EngineSpec) []string {
 }
 
 // isBareSolverName reports whether cmd round-trips through the grammar
-// as a bare word (no path separators, no grammar metacharacters).
+// as a bare word (no path separators, no grammar metacharacters, no
+// white space, which parsing trims).
 func isBareSolverName(cmd string) bool {
-	if cmd == "" || strings.ContainsAny(cmd, "/\\:,= \t") {
+	if cmd == "" || strings.ContainsAny(cmd, "/\\:,=") || strings.IndexFunc(cmd, unicode.IsSpace) >= 0 {
 		return false
 	}
 	switch cmd {
@@ -133,13 +132,15 @@ func isBareSolverName(cmd string) bool {
 //	"bdd:max-nodes=1<<20"     BDD engine with a node budget
 //
 // Process-engine binaries are looked up when the engine is built, not
-// here: a plan mentioning kissat parses on a machine without it.
+// here: a plan mentioning kissat parses on a machine without it. Every
+// accepted spec reparses from its String() to the same EngineSpec
+// (FuzzParseEngineSpec).
 func ParseEngineSpec(spec string) (EngineSpec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return InternalSpec(Config{}), nil
 	}
-	head, rest, hasOpts := strings.Cut(spec, ":")
+	head, rest, _ := strings.Cut(spec, ":")
 	if strings.Contains(head, "=") {
 		// No kind prefix: the whole spec is an internal config list
 		// (backward-compatible -solver form).
@@ -151,90 +152,62 @@ func ParseEngineSpec(spec string) (EngineSpec, error) {
 	}
 	switch head {
 	case "internal":
-		opts := ""
-		if hasOpts {
-			opts = rest
-		}
-		cfg, err := ParseConfig(opts)
+		cfg, err := ParseConfig(rest)
 		if err != nil {
 			return EngineSpec{}, err
 		}
 		return InternalSpec(cfg), nil
 	case "bdd":
 		s := EngineSpec{Kind: EngineBDD}
-		if hasOpts {
-			for _, kv := range splitOpts(rest) {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return EngineSpec{}, fmt.Errorf("sat: bdd option %q is not key=value", kv)
-				}
-				switch k {
-				case "max-nodes", "nodes":
-					n, err := parseNodeCount(v)
-					if err != nil {
-						return EngineSpec{}, fmt.Errorf("sat: bdd option %q: %v", kv, err)
-					}
-					s.MaxNodes = n
-				default:
-					return EngineSpec{}, fmt.Errorf("sat: bdd option %q: unknown key", kv)
-				}
+		for _, kv := range splitOpts(rest) {
+			k, v, ok := strings.Cut(kv, "=")
+			if !ok {
+				return EngineSpec{}, fmt.Errorf("sat: bdd option %q is not key=value", kv)
 			}
-		}
-		return s, nil
-	case "process", "dimacs":
-		s := EngineSpec{Kind: EngineProcess}
-		if hasOpts {
-			for _, kv := range splitOpts(rest) {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return EngineSpec{}, fmt.Errorf("sat: process option %q is not key=value", kv)
+			switch k {
+			case "max-nodes", "nodes":
+				n, err := parseNodeCount(v)
+				if err != nil {
+					return EngineSpec{}, fmt.Errorf("sat: bdd option %q: %v", kv, err)
 				}
-				switch k {
-				case "cmd", "path":
-					s.Cmd = v
-				case "persistent":
-					b, err := strconv.ParseBool(v)
-					if err != nil {
-						return EngineSpec{}, fmt.Errorf("sat: process option %q: %v", kv, err)
-					}
-					s.Persistent = b
-				default:
-					return EngineSpec{}, fmt.Errorf("sat: process option %q: unknown key", kv)
-				}
-			}
-		}
-		if s.Cmd == "" {
-			return EngineSpec{}, fmt.Errorf("sat: process engine spec %q needs cmd=PATH", spec)
-		}
-		return s, nil
-	default:
-		// A bare word names an external solver binary to find on PATH.
-		if !isBareSolverName(head) {
-			return EngineSpec{}, fmt.Errorf("sat: malformed engine spec %q", spec)
-		}
-		s := EngineSpec{Kind: EngineProcess, Cmd: head}
-		if hasOpts {
-			for _, kv := range splitOpts(rest) {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return EngineSpec{}, fmt.Errorf("sat: solver option %q is not key=value", kv)
-				}
-				switch k {
-				case "cmd", "path":
-					s.Cmd = v
-				case "persistent":
-					b, err := strconv.ParseBool(v)
-					if err != nil {
-						return EngineSpec{}, fmt.Errorf("sat: solver option %q: %v", kv, err)
-					}
-					s.Persistent = b
-				default:
-					return EngineSpec{}, fmt.Errorf("sat: solver option %q: unknown key", kv)
-				}
+				s.MaxNodes = n
+			default:
+				return EngineSpec{}, fmt.Errorf("sat: bdd option %q: unknown key", kv)
 			}
 		}
 		return s, nil
 	}
+	// An external solver: process:cmd=P, or a bare word naming a binary
+	// to find on PATH (cmd= may still override it).
+	s := EngineSpec{Kind: EngineProcess}
+	if head != "process" && head != "dimacs" {
+		if !isBareSolverName(head) {
+			return EngineSpec{}, fmt.Errorf("sat: malformed engine spec %q", spec)
+		}
+		s.Cmd = head
+	}
+	for _, kv := range splitOpts(rest) {
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok {
+			return EngineSpec{}, fmt.Errorf("sat: process option %q is not key=value", kv)
+		}
+		switch k {
+		case "cmd", "path":
+			s.Cmd = v
+		case "persistent":
+			b, err := strconv.ParseBool(v)
+			if err != nil {
+				return EngineSpec{}, fmt.Errorf("sat: process option %q: %v", kv, err)
+			}
+			s.Persistent = b
+		default:
+			return EngineSpec{}, fmt.Errorf("sat: process option %q: unknown key", kv)
+		}
+	}
+	if s.Cmd == "" {
+		return EngineSpec{}, fmt.Errorf("sat: process engine spec %q needs cmd=PATH", spec)
+	}
+	return s, nil
 }
 
 func splitOpts(s string) []string {
@@ -252,7 +225,7 @@ func parseNodeCount(v string) (int, error) {
 	if base, shift, ok := strings.Cut(v, "<<"); ok {
 		b, err1 := strconv.Atoi(strings.TrimSpace(base))
 		s, err2 := strconv.Atoi(strings.TrimSpace(shift))
-		if err1 != nil || err2 != nil || b < 1 || s < 0 || s > 40 {
+		if err1 != nil || err2 != nil || b < 1 || s < 0 || s > 40 || b > math.MaxInt>>s {
 			return 0, fmt.Errorf("bad shift count %q", v)
 		}
 		return b << s, nil
@@ -327,79 +300,45 @@ func ParseEngineList(list string, base Config) ([]EngineSpec, error) {
 // flag pair, shared by the attack CLIs (attack.SolverSetupFromFlags),
 // the harness (exp.Config.ApplySolverFlags) and campaign plans, so a
 // flag pair means the same thing everywhere. solver is one engine spec.
-// portfolio is either an integer width — returned as width, racing N
-// derived internal variants of base — or an engine list, returned as
-// specs (width path and specs path are mutually exclusive: specs is
-// nil on the width path). A non-internal solver spec with no list
-// resolves to a single-entry specs; base stays the zero Config when
-// solver is empty, preserving "no flags = attack-default engine".
-func ResolveSolverFlags(solver, portfolio string) (base Config, width int, specs []EngineSpec, err error) {
+// portfolio is either an integer width N — N internal variants of the
+// solver config (PortfolioConfigs) — or an engine list
+// (ParseEngineList) whose bare "internal" entries inherit the solver
+// config. The result is nil for the default engine: both flags unset,
+// or a width below 2 with a solver equal to the default config.
+func ResolveSolverFlags(solver, portfolio string) ([]EngineSpec, error) {
 	spec, err := ParseEngineSpec(solver)
 	if err != nil {
-		return Config{}, 0, nil, err
+		return nil, err
 	}
 	portfolio = strings.TrimSpace(portfolio)
+	width := 1
 	if portfolio != "" {
 		n, aerr := strconv.Atoi(portfolio)
 		if aerr != nil {
 			// Engine-list form. A non-internal -solver cannot act as the
 			// base the list's bare "internal" entries inherit.
 			if spec.Kind != EngineInternal {
-				return Config{}, 0, nil, fmt.Errorf("sat: -portfolio %q lists engines; -solver must then be an internal config, not %q", portfolio, solver)
+				return nil, fmt.Errorf("sat: -portfolio %q lists engines; -solver must then be an internal config, not %q", portfolio, solver)
 			}
-			specs, err = ParseEngineList(portfolio, spec.Config)
-			return Config{}, 0, specs, err
+			return ParseEngineList(portfolio, spec.Config)
 		}
 		width = n
 	}
-	if spec.Kind != EngineInternal {
-		if width >= 2 {
-			return Config{}, 0, nil, fmt.Errorf("sat: -portfolio %d derives internal engine variants; race %q via the list form, e.g. -portfolio internal,%s", width, solver, solver)
+	if width >= 2 {
+		if spec.Kind != EngineInternal {
+			return nil, fmt.Errorf("sat: -portfolio %d derives internal engine variants; race %q via the list form, e.g. -portfolio internal,%s", width, solver, solver)
 		}
-		return Config{}, 0, []EngineSpec{spec}, nil
-	}
-	if solver != "" {
-		base = spec.Config
-	}
-	return base, width, nil, nil
-}
-
-// LearnedConfigs reorders — and, with dropAfter > 0, prunes — an
-// engine-spec list from a prior run's recorded portfolio statistics:
-// specs are stably sorted by recorded wins (descending), and a spec that
-// raced at least dropAfter times in the prior run without winning once
-// is dropped, provided at least one recorded winner survives. Specs with
-// no recorded statistics are never dropped (nothing is known about
-// them). Learning only redistributes racing effort; it never changes a
-// decided verdict, because every surviving engine decides the same
-// formulas.
-func LearnedConfigs(specs []EngineSpec, prior []ConfigStats, dropAfter int64) []EngineSpec {
-	byLabel := make(map[string]ConfigStats, len(prior))
-	for _, cs := range prior {
-		byLabel[cs.Config] = cs
-	}
-	anyWins := false
-	for _, cs := range prior {
-		if cs.Wins > 0 {
-			anyWins = true
-			break
+		configs := PortfolioConfigs(spec.Config, width)
+		specs := make([]EngineSpec, len(configs))
+		for i, c := range configs {
+			specs[i] = InternalSpec(c)
 		}
+		return specs, nil
 	}
-	kept := make([]EngineSpec, 0, len(specs))
-	for _, s := range specs {
-		cs, known := byLabel[s.String()]
-		if known && cs.ChronicLoser(dropAfter, anyWins) {
-			continue
-		}
-		kept = append(kept, s)
+	if spec == InternalSpec(Config{}) {
+		return nil, nil
 	}
-	if len(kept) == 0 {
-		kept = append(kept[:0], specs...)
-	}
-	sort.SliceStable(kept, func(a, b int) bool {
-		return byLabel[kept[a].String()].Wins > byLabel[kept[b].String()].Wins
-	})
-	return kept
+	return []EngineSpec{spec}, nil
 }
 
 // MergeStats sums per-config statistics by config label across any
@@ -425,28 +364,4 @@ func MergeStats(groups ...[]ConfigStats) []ConfigStats {
 		}
 	}
 	return out
-}
-
-// WriteStatsFile persists a ledger snapshot as JSON — the
-// portfolio_stats.json file campaign merge writes and -learn-from
-// consumes.
-func WriteStatsFile(path string, stats []ConfigStats) error {
-	data, err := json.MarshalIndent(stats, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadStatsFile loads a snapshot written by WriteStatsFile.
-func ReadStatsFile(path string) ([]ConfigStats, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var stats []ConfigStats
-	if err := json.Unmarshal(data, &stats); err != nil {
-		return nil, fmt.Errorf("sat: parse stats file %s: %w", path, err)
-	}
-	return stats, nil
 }

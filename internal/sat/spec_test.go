@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -55,8 +54,12 @@ func TestParseEngineSpecRejectsBadSpecs(t *testing.T) {
 		"kissat:verbose=1",
 		"kissat:persistent=maybe", // unparsable bool
 		"process:cmd=/tmp/s,persistent=2",
-		"a b",  // whitespace in a bare name
-		"a,b:", // comma in a bare name
+		"a b",                                  // whitespace in a bare name
+		"a,b:",                                 // comma in a bare name
+		"0\f:",                                 // form feed in a bare name (parsing trims it)
+		"kissat:cmd=",                          // empty cmd overriding a bare name
+		"0:cmd=",                               // same
+		"bdd:max-nodes=4611686018427387904<<2", // node count overflows int
 	} {
 		if got, err := ParseEngineSpec(spec); err == nil {
 			t.Errorf("ParseEngineSpec(%q) accepted a bad spec: %+v", spec, got)
@@ -125,54 +128,6 @@ func TestParseEngineList(t *testing.T) {
 	}
 }
 
-func TestLearnedConfigs(t *testing.T) {
-	specs := []EngineSpec{
-		InternalSpec(Config{}),
-		{Kind: EngineBDD},
-		{Kind: EngineProcess, Cmd: "kissat"},
-	}
-	prior := []ConfigStats{
-		{Config: specs[0].String(), Races: 40, Wins: 5},
-		{Config: "bdd", Races: 40, Wins: 0},
-		{Config: "kissat", Races: 40, Wins: 35},
-	}
-
-	// Reorder only: kissat first (most wins), bdd last, nothing dropped.
-	got := LearnedConfigs(specs, prior, 0)
-	if len(got) != 3 || got[0].Cmd != "kissat" || got[1].Kind != EngineInternal || got[2].Kind != EngineBDD {
-		t.Errorf("reorder: %v", EngineLabels(got))
-	}
-
-	// Drop: bdd raced >= 20 times without a win while others won.
-	got = LearnedConfigs(specs, prior, 20)
-	if len(got) != 2 || got[0].Cmd != "kissat" || got[1].Kind != EngineInternal {
-		t.Errorf("drop: %v", EngineLabels(got))
-	}
-
-	// A spec with no recorded stats is never dropped.
-	unknown := append(specs, EngineSpec{Kind: EngineProcess, Cmd: "cadical"})
-	got = LearnedConfigs(unknown, prior, 20)
-	found := false
-	for _, s := range got {
-		if s.Cmd == "cadical" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("unknown spec dropped: %v", EngineLabels(got))
-	}
-
-	// All losers: nothing is dropped (there is no winner to keep).
-	losers := []ConfigStats{
-		{Config: specs[0].String(), Races: 40},
-		{Config: "bdd", Races: 40},
-		{Config: "kissat", Races: 40},
-	}
-	if got := LearnedConfigs(specs, losers, 20); len(got) != 3 {
-		t.Errorf("all-loser prior dropped specs: %v", EngineLabels(got))
-	}
-}
-
 func TestMergeStats(t *testing.T) {
 	a := []ConfigStats{{Config: "seed=0", Races: 3, Wins: 2, SatWins: 1, UnsatWins: 1, Conflicts: 10}}
 	b := []ConfigStats{
@@ -189,52 +144,6 @@ func TestMergeStats(t *testing.T) {
 	}
 }
 
-func TestStatsFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "portfolio_stats.json")
-	stats := []ConfigStats{{Config: "seed=0", Races: 2, Wins: 1, SatWins: 1, Conflicts: 5}, {Config: "bdd", Races: 2}}
-	if err := WriteStatsFile(path, stats); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadStatsFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, stats) {
-		t.Errorf("round trip: %+v != %+v", got, stats)
-	}
-}
-
-// TestLedgerActiveAndSlots: slot-mapped recording accounts a subset race
-// into the full spec list's ledger, and Active implements the
-// chronic-loser drop rule.
-func TestLedgerActiveAndSlots(t *testing.T) {
-	l := NewLedgerLabels([]string{"a", "b", "c"})
-	// Engines race slots {0, 2}; slot 2 wins an UNSAT race.
-	l.record(Unsat, 2, []int{0, 2}, []Stats{{Conflicts: 4}, {Conflicts: 1}})
-	snap := l.Snapshot()
-	if snap[0].Races != 1 || snap[0].Conflicts != 4 || snap[0].Wins != 0 {
-		t.Errorf("slot 0: %+v", snap[0])
-	}
-	if snap[1].Races != 0 {
-		t.Errorf("slot 1 raced: %+v", snap[1])
-	}
-	if snap[2].Races != 1 || snap[2].Wins != 1 || snap[2].UnsatWins != 1 {
-		t.Errorf("slot 2: %+v", snap[2])
-	}
-
-	// Active: slot 0 has raced once without a win; dropAfter 1 drops it,
-	// dropAfter 2 keeps it, slot 1 (never raced) always stays.
-	if act := l.Active(1); act[0] || !act[1] || !act[2] {
-		t.Errorf("Active(1) = %v", act)
-	}
-	if act := l.Active(2); !act[0] || !act[1] || !act[2] {
-		t.Errorf("Active(2) = %v", act)
-	}
-	if act := l.Active(0); !act[0] || !act[1] || !act[2] {
-		t.Errorf("Active(0) = %v", act)
-	}
-}
-
 // TestEnginePortfolioMixedVerdicts: a heterogeneous portfolio (two
 // internal configs through the generic constructor) agrees with the
 // single engine on the verdict table.
@@ -242,7 +151,7 @@ func TestEnginePortfolioMixedVerdicts(t *testing.T) {
 	for name, load := range instanceTable() {
 		want, _, _ := runInstance(Config{}, load)
 		engines := []Engine{NewWith(Config{}), NewWith(Config{Seed: 3, Phase: PhaseFalse})}
-		p := NewEnginePortfolio(engines, NewLedgerLabels([]string{"base", "neg"}))
+		p := NewEnginePortfolio(engines, NewLedger([]string{"base", "neg"}))
 		load(p)
 		if got := p.Solve(); got != want {
 			t.Errorf("%s: portfolio verdict %v, single %v", name, got, want)

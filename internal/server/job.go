@@ -109,9 +109,6 @@ func (s *JobSpec) Resolve() (*resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := setup.Check(); err != nil {
-		return nil, err
-	}
 	r := &resolved{
 		atk:   atk,
 		setup: setup,
