@@ -31,6 +31,10 @@
 //	               least-recently-used records are evicted (0 = 1 GiB)
 //	-trace F       write an NDJSON span trace of the whole suite to F
 //	               (stdout unchanged; analyze with cmd/tracestat)
+//	-cpuprofile F  write a CPU profile of the whole run to F
+//	-memprofile F  write a heap profile, taken at the end of the run, to F
+//	               (both in runtime/pprof format for go tool pprof;
+//	               stdout unchanged)
 //
 // Results go to stdout, diagnostics — including the aggregated
 // per-engine portfolio win statistics — to stderr, so racing runs diff
@@ -47,6 +51,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/attack"
@@ -74,6 +79,8 @@ func main() {
 		memoDir   = flag.String("memo-dir", "", "persist the verdict cache in DIR, shared across runs (implies -memo; verdicts unchanged)")
 		memoMax   = flag.Int64("memo-max-bytes", 0, "size cap for -memo-dir before LRU eviction (0 = 1 GiB)")
 		tracePath = flag.String("trace", "", "write an NDJSON span trace of the whole suite to FILE (stdout unchanged; analyze with tracestat)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to FILE (stdout unchanged; analyze with go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write a heap profile taken at the end of the run to FILE (stdout unchanged)")
 	)
 	flag.Parse()
 
@@ -109,6 +116,16 @@ func main() {
 	if !*table1 && *fig5 == "" && !*fig6 && !*summary {
 		flag.Usage()
 		os.Exit(1)
+	}
+
+	var cpuFile *os.File
+	if *cpuProf != "" {
+		if cpuFile, err = os.Create(*cpuProf); err != nil {
+			fatalf("cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			fatalf("cpuprofile: %v", err)
+		}
 	}
 
 	// Build the locked suite once; every requested report shares it.
@@ -188,17 +205,44 @@ func main() {
 	if cfg.Memo != nil {
 		attack.FprintMemoSummary(os.Stderr, cfg.Memo, cfg.Memo.Stats(), cfg.Memo.Len())
 	}
+	// Traces and profiles are closed before the failure exit path
+	// (os.Exit skips defers).
 	if tracer != nil {
-		// Closed before the failure exit path (os.Exit skips defers).
 		cfg.Trace.End()
 		if err := tracer.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "fallbench: trace: %v\n", err)
+		}
+	}
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "fallbench: cpuprofile: %v\n", err)
+		}
+	}
+	if *memProf != "" {
+		if err := writeHeapProfile(*memProf); err != nil {
+			fmt.Fprintf(os.Stderr, "fallbench: memprofile: %v\n", err)
 		}
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "fallbench: %d attack run(s) failed\n", failed)
 		os.Exit(2)
 	}
+}
+
+// writeHeapProfile writes the heap profile after a GC, so it reflects
+// the live heap at the end of the run.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatalf(format string, args ...any) {

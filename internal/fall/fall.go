@@ -8,9 +8,14 @@
 //  2. Support-set matching (§III-B): shortlist candidate cube-stripper
 //     gates, whose support equals the comparator circuit-input set.
 //  3. Functional analyses (§IV): AnalyzeUnateness (Lemma 1, TTLock),
-//     SlidingWindow (Lemma 3) and Distance2H (Lemma 2) extract the
-//     protected cube from a candidate gate; combinational equivalence
-//     checking (§IV-C) ensures sufficiency.
+//     SlidingWindow and Distance2H (Lemma 2) extract the protected cube
+//     from a candidate gate; combinational equivalence checking (§IV-C)
+//     ensures sufficiency. SlidingWindow reads key bits off models of
+//     the distance-2h instance: for f ≡ strip_h(k), two on-set points at
+//     distance 2h are both at distance h from k, so wherever they agree
+//     they equal k. It asks one query per still-open position, for a
+//     model agreeing there, instead of proving Lemma 3's uniqueness by
+//     an UNSAT query; §IV-C rejects any cube taken from a non-stripper.
 //
 // The output is a shortlist of suspected keys. When more than one key
 // survives, the key confirmation algorithm (internal/keyconfirm, paper §V)
@@ -531,9 +536,29 @@ func (a *analysisContext) hdInstance(h int) (sat.Engine, []sat.Lit, []sat.Lit, [
 	return s, p.xs, p.ys, p.ds
 }
 
-// SlidingWindowAnalysis implements Algorithm 2 (Lemma 3). It returns the
-// recovered cube over locked-circuit input ids, ok=false if the node is
-// inconsistent with a cube stripper, or an error on timeout.
+// SlidingWindowAnalysis implements Algorithm 2, the analysis for
+// 4h > m. It returns the recovered cube over locked-circuit input ids,
+// ok=false if the node is inconsistent with a cube stripper, or an
+// error on timeout.
+//
+// Every model of the distance-2h instance gives key bits directly. If
+// f ≡ strip_h(k) and x, x' are on-set points with HD(x, x') = 2h, then
+// HD(x, k) = HD(x', k) = h and the triangle inequality is tight, so
+// wherever x and x' agree they both equal k. The analysis harvests the
+// agreeing positions of the first model; then, while some position is
+// open, it asks for a model agreeing at the first open position i
+// (assumption ¬d_i) and harvests that model too. An Unsat answer, a
+// model contradicting a harvested bit, or a model failing the
+// simulation check agreeingFlipsOff rejects the node; the last one
+// turns away dense non-strippers after a single query.
+//
+// With 2h < m a true stripper has a pair agreeing at any single
+// position, so it is never rejected and yields exactly k in at most
+// 1 + 2h queries; with 2h >= m every node is rejected. Lemma 3's
+// per-position uniqueness proofs are therefore not needed: they are
+// necessary conditions only, and a cube harvested from a non-stripper
+// fails the §IV-C EquivalenceCheck, which is what makes the shortlist
+// sound.
 func (a *analysisContext) SlidingWindowAnalysis(h int) (map[int]bool, bool, error) {
 	s, xs, ys, ds := a.hdInstance(h)
 	switch s.Solve() {
@@ -542,45 +567,100 @@ func (a *analysisContext) SlidingWindowAnalysis(h int) (map[int]bool, bool, erro
 	case sat.Unknown:
 		return nil, false, ErrTimeout
 	}
-	cube := make(map[int]bool, len(a.inputs))
-	type pending struct {
-		i      int
-		mi, mj bool
-	}
-	var todo []pending
-	for i, xi := range a.inputs {
-		mi := s.LitTrue(xs[i])
-		mj := s.LitTrue(ys[i])
-		if mi == mj {
-			cube[a.inputMap[xi]] = mi
-		} else {
-			todo = append(todo, pending{i, mi, mj})
+	m := len(a.inputs)
+	cube := make(map[int]bool, m)
+	known := make([]bool, m)
+	x, y := make([]bool, m), make([]bool, m)
+	vals := make([]uint64, a.cone.Len())
+	// harvest records the positions where the last model's two points
+	// agree, and reports false if one contradicts a known bit or the
+	// model fails agreeingFlipsOff.
+	harvest := func() bool {
+		for i, xi := range a.inputs {
+			x[i], y[i] = s.LitTrue(xs[i]), s.LitTrue(ys[i])
+			if x[i] != y[i] {
+				continue
+			}
+			orig := a.inputMap[xi]
+			if known[i] {
+				if cube[orig] != x[i] {
+					return false
+				}
+				continue
+			}
+			known[i] = true
+			cube[orig] = x[i]
 		}
+		return a.agreeingFlipsOff(x, y, vals)
 	}
-	for _, p := range todo {
+	if !harvest() {
+		return nil, false, nil
+	}
+	// Every position below i is known, so i is the first open one.
+	for i := range a.inputs {
+		if known[i] {
+			continue
+		}
 		if a.expired() {
 			return nil, false, ErrTimeout
 		}
-		// Lemma 3: exactly one of xi=x'i=mi, xi=x'i=m'i is satisfiable,
-		// and that value is the key bit.
-		ri := s.SolveAssuming([]sat.Lit{ds[p.i].Neg(), attack.LitWithValue(xs[p.i], p.mi)})
-		if ri == sat.Unknown {
+		switch s.SolveAssuming([]sat.Lit{ds[i].Neg()}) {
+		case sat.Unsat:
+			return nil, false, nil
+		case sat.Unknown:
 			return nil, false, ErrTimeout
 		}
-		rj := s.SolveAssuming([]sat.Lit{ds[p.i].Neg(), attack.LitWithValue(xs[p.i], p.mj)})
-		if rj == sat.Unknown {
-			return nil, false, ErrTimeout
-		}
-		switch {
-		case ri == sat.Sat && rj == sat.Unsat:
-			cube[a.inputMap[a.inputs[p.i]]] = p.mi
-		case ri == sat.Unsat && rj == sat.Sat:
-			cube[a.inputMap[a.inputs[p.i]]] = p.mj
-		default:
+		if !harvest() {
 			return nil, false, nil
 		}
 	}
 	return cube, true, nil
+}
+
+// agreeingFlipsOff checks a model of the distance-2h instance, the
+// on-set pair (x, y) indexed like a.inputs, by simulation. For
+// f ≡ strip_h(k), wherever x and y agree they equal k, so flipping that
+// bit of either point gives a point at distance h+1 from k, which is
+// off-set. It simulates all such points and reports whether every one
+// is off-set; false proves the node is not a stripper without a
+// further SAT query. vals is scratch space of the cone's length.
+func (a *analysisContext) agreeingFlipsOff(x, y []bool, vals []uint64) bool {
+	out := a.cone.Outputs[0]
+	n := 0 // points packed into vals, one per bit
+	allOff := func() bool {
+		if n == 0 {
+			return true
+		}
+		a.cone.Simulate(vals)
+		on := vals[out]
+		if a.neg {
+			on = ^on
+		}
+		if n < 64 {
+			on &= 1<<uint(n) - 1
+		}
+		for _, in := range a.inputs {
+			vals[in] = 0
+		}
+		n = 0
+		return on == 0
+	}
+	for _, pt := range [][]bool{x, y} {
+		for j := range pt {
+			if x[j] != y[j] {
+				continue
+			}
+			for i, in := range a.inputs {
+				if pt[i] != (i == j) {
+					vals[in] |= 1 << uint(n)
+				}
+			}
+			if n++; n == 64 && !allOff() {
+				return false
+			}
+		}
+	}
+	return allOff()
 }
 
 // Distance2HAnalysis implements Algorithm 3 (Lemma 2), applicable when

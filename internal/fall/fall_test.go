@@ -2,17 +2,21 @@ package fall
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/aig"
+	"repro/internal/attack"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/lock"
+	"repro/internal/sat"
 	"repro/internal/testcirc"
 )
 
@@ -611,5 +615,260 @@ func TestTruthTable2(t *testing.T) {
 	}
 	if tt, ok := truthTable2(c, n, a, b); !ok || tt != 0b1001 {
 		t.Errorf("XNOR tt = %04b ok=%v", tt, ok)
+	}
+}
+
+// lemma3Reference is the SlidingWindow schedule that proves Lemma 3 for
+// every position the first model leaves open: of the two values the
+// pair took there, exactly one must be satisfiable with the pair
+// agreeing at that position, and that value is the key bit.
+func lemma3Reference(a *analysisContext, h int) (map[int]bool, bool, error) {
+	s, xs, ys, ds := a.hdInstance(h)
+	switch s.Solve() {
+	case sat.Unsat:
+		return nil, false, nil
+	case sat.Unknown:
+		return nil, false, ErrTimeout
+	}
+	cube := make(map[int]bool, len(a.inputs))
+	type pending struct {
+		i      int
+		mi, mj bool
+	}
+	var todo []pending
+	for i, xi := range a.inputs {
+		mi := s.LitTrue(xs[i])
+		mj := s.LitTrue(ys[i])
+		if mi == mj {
+			cube[a.inputMap[xi]] = mi
+		} else {
+			todo = append(todo, pending{i, mi, mj})
+		}
+	}
+	for _, p := range todo {
+		ri := s.SolveAssuming([]sat.Lit{ds[p.i].Neg(), attack.LitWithValue(xs[p.i], p.mi)})
+		rj := s.SolveAssuming([]sat.Lit{ds[p.i].Neg(), attack.LitWithValue(xs[p.i], p.mj)})
+		if ri == sat.Unknown || rj == sat.Unknown {
+			return nil, false, ErrTimeout
+		}
+		switch {
+		case ri == sat.Sat && rj == sat.Unsat:
+			cube[a.inputMap[a.inputs[p.i]]] = p.mi
+		case ri == sat.Unsat && rj == sat.Sat:
+			cube[a.inputMap[a.inputs[p.i]]] = p.mj
+		default:
+			return nil, false, nil
+		}
+	}
+	return cube, true, nil
+}
+
+// shortlistedCube runs one SlidingWindow schedule and the §IV-C
+// equivalence check, returning the cube a cell would shortlist (nil if
+// it shortlists nothing).
+func shortlistedCube(t *testing.T, a *analysisContext, h int, schedule func(*analysisContext, int) (map[int]bool, bool, error)) map[int]bool {
+	t.Helper()
+	cube, ok, err := schedule(a, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		return nil
+	}
+	okEq, err := a.EquivalenceCheck(cube, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !okEq {
+		return nil
+	}
+	return cube
+}
+
+// supportCandidates returns the support-matched candidates of a locked
+// circuit, as Attack computes them.
+func supportCandidates(c *circuit.Circuit) []int {
+	seen := map[int]bool{}
+	var compX []int
+	for _, cp := range FindComparators(c) {
+		if !seen[cp.Input] {
+			seen[cp.Input] = true
+			compX = append(compX, cp.Input)
+		}
+	}
+	sort.Ints(compX)
+	return SupportMatch(c, compX)
+}
+
+// TestSlidingWindowMatchesLemma3Reference: after the equivalence check,
+// the harvesting schedule shortlists exactly what the Lemma 3 schedule
+// shortlists — the same key/no-key outcome and the same cube — on every
+// candidate × polarity of SFLL-HD locks with 4h > m (real
+// non-strippers beside the stripper), on minterm-built strippers with
+// 2h < m and 2h = m, and on parity and OR.
+func TestSlidingWindowMatchesLemma3Reference(t *testing.T) {
+	type input struct {
+		name string
+		c    *circuit.Circuit
+		node int
+		neg  bool
+		h    int
+	}
+	var inputs []input
+	for _, lc := range []struct {
+		seed       int64
+		nIn, gates int
+		keySize, h int
+	}{
+		{61, 10, 100, 8, 3},
+		{62, 12, 120, 10, 3},
+		{63, 9, 80, 7, 2},
+	} {
+		orig := testcirc.Random(rand.New(rand.NewSource(lc.seed)), lc.nIn, lc.gates)
+		lr, err := lock.SFLLHD(orig, lock.Options{KeySize: lc.keySize, H: lc.h, Seed: lc.seed, Optimize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cand := range supportCandidates(lr.Locked) {
+			for _, neg := range []bool{false, true} {
+				inputs = append(inputs, input{fmt.Sprintf("sfll seed=%d node=%d", lc.seed, cand), lr.Locked, cand, neg, lc.h})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(71))
+	for _, mh := range [][2]int{{5, 2}, {6, 2}, {7, 3}, {8, 3}, {6, 3}, {4, 2}} {
+		m, h := mh[0], mh[1]
+		cube := make([]bool, m)
+		for i := range cube {
+			cube[i] = rng.Intn(2) == 1
+		}
+		c := aig.Strash(buildStripHD(m, h, cube))
+		for _, neg := range []bool{false, true} {
+			inputs = append(inputs, input{fmt.Sprintf("strip m=%d h=%d", m, h), c, c.Outputs[0], neg, h})
+		}
+	}
+	for _, typ := range []circuit.GateType{circuit.Xor, circuit.Or} {
+		c := circuit.New("dense")
+		ins := make([]int, 6)
+		for i := range ins {
+			ins[i] = c.AddInput("")
+		}
+		c.MarkOutput(c.MustGate("g", typ, ins...))
+		for _, h := range []int{1, 2} {
+			for _, neg := range []bool{false, true} {
+				inputs = append(inputs, input{fmt.Sprintf("%v h=%d", typ, h), c, c.Outputs[0], neg, h})
+			}
+		}
+	}
+
+	var keys, rejected int
+	for _, in := range inputs {
+		opts := Options{H: in.h}
+		a, err := newAnalysisContext(context.Background(), in.c, in.node, in.neg, &opts)
+		if err != nil {
+			t.Fatalf("%s neg=%v: %v", in.name, in.neg, err)
+		}
+		got := shortlistedCube(t, a, in.h, (*analysisContext).SlidingWindowAnalysis)
+		want := shortlistedCube(t, a, in.h, lemma3Reference)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s neg=%v: harvest shortlists %v, Lemma 3 reference %v", in.name, in.neg, got, want)
+		}
+		if want != nil {
+			keys++
+		} else {
+			rejected++
+		}
+	}
+	// Both outcomes must occur, or the comparison proves little.
+	if keys == 0 || rejected == 0 {
+		t.Errorf("%d inputs shortlisted a key and %d none; want both", keys, rejected)
+	}
+	t.Logf("%d inputs: %d keys, %d rejected", len(inputs), keys, rejected)
+}
+
+// countingEngine counts the queries its engine answers and the Unsat
+// answers among them.
+type countingEngine struct {
+	sat.Engine
+	queries, unsat *int
+}
+
+func (c countingEngine) Solve() sat.Status { return c.count(c.Engine.Solve()) }
+
+func (c countingEngine) SolveAssuming(as []sat.Lit) sat.Status {
+	return c.count(c.Engine.SolveAssuming(as))
+}
+
+func (c countingEngine) count(st sat.Status) sat.Status {
+	*c.queries++
+	if st == sat.Unsat {
+		*c.unsat++
+	}
+	return st
+}
+
+// TestSlidingWindowQueryShape pins the harvesting schedule: on a true
+// stripper with 2h < m, in either polarity, SlidingWindow asks at most
+// 1 + 2h queries (the first model leaves 2h positions open and every
+// later model closes at least one) and gets no Unsat answer — no
+// per-position UNSAT proof is made. A dense non-stripper (OR) is
+// rejected from its first model by the flip simulation, after one
+// query.
+func TestSlidingWindowQueryShape(t *testing.T) {
+	or := circuit.New("or")
+	ins := make([]int, 6)
+	for i := range ins {
+		ins[i] = or.AddInput("")
+	}
+	or.MarkOutput(or.MustGate("g", circuit.Or, ins...))
+	var orQueries, orUnsat int
+	orOpts := Options{H: 2, Solver: func(ctx context.Context) sat.Engine {
+		return countingEngine{attack.NewSolver(ctx), &orQueries, &orUnsat}
+	}}
+	a, err := newAnalysisContext(context.Background(), or, or.Outputs[0], false, &orOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := a.SlidingWindowAnalysis(2); err != nil || ok || orQueries != 1 {
+		t.Errorf("OR: ok=%v err=%v after %d queries, want a rejection after 1", ok, err, orQueries)
+	}
+
+	rng := rand.New(rand.NewSource(73))
+	for m := 5; m <= 9; m++ {
+		for h := 1; 2*h < m; h++ {
+			cube := make([]bool, m)
+			for i := range cube {
+				cube[i] = rng.Intn(2) == 1
+			}
+			c := aig.Strash(buildStripHD(m, h, cube))
+			for _, neg := range []bool{false, true} {
+				var queries, unsat int
+				opts := Options{H: h, Solver: func(ctx context.Context) sat.Engine {
+					return countingEngine{attack.NewSolver(ctx), &queries, &unsat}
+				}}
+				a, err := newAnalysisContext(context.Background(), c, c.Outputs[0], neg, &opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, ok, err := a.SlidingWindowAnalysis(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if queries > 1+2*h || unsat != 0 {
+					t.Errorf("m=%d h=%d neg=%v: %d queries (%d Unsat), want <= %d with none Unsat", m, h, neg, queries, unsat, 1+2*h)
+				}
+				if neg {
+					continue
+				}
+				if !ok {
+					t.Fatalf("m=%d h=%d: true stripper rejected", m, h)
+				}
+				for i, xi := range a.inputs {
+					if got[a.inputMap[xi]] != cube[i] {
+						t.Fatalf("m=%d h=%d: cube %v, want %v", m, h, got, cube)
+					}
+				}
+			}
+		}
 	}
 }
